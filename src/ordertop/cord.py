@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import latid
+from . import latid, ospace
 from . import topoderive as td
 from .finstruct import (
     BinaryRelation,
@@ -19,8 +19,10 @@ from .finstruct import (
     ValidationError,
     bits,
     generate_topology,
+    is_directed,
     mask_of,
-    subsets_of,
+    transpose,
+    unbounded_pair,
     validate_topology,
 )
 
@@ -41,10 +43,7 @@ class CQuasiOrder:
     @property
     def preimages(self):
         """cols[y] = mask of Ry = {x : x R y}."""
-        return tuple(
-            mask_of(x for x in range(self.n) if self.rel[x] >> y & 1)
-            for y in range(self.n)
-        )
+        return transpose(self.n, self.rel)
 
     def lower_qoset(self) -> Qoset:
         cols = self.preimages
@@ -68,7 +67,7 @@ def interior_relation(s: Topology) -> BinaryRelation:
 
 def validate_cquasiorder(n, relation) -> CQuasiOrder:
     rows = relation.rel if isinstance(relation, BinaryRelation) else tuple(relation)
-    cols = tuple(mask_of(x for x in range(n) if rows[x] >> y & 1) for y in range(n))
+    cols = transpose(n, rows)
     for y in range(n):
         if not cols[y]:
             raise ValidationError("EmptyPointPreimage", (y,))
@@ -85,12 +84,9 @@ def validate_cquasiorder(n, relation) -> CQuasiOrder:
             for b in range(n):
                 if leq[b] >> a & 1 and not cols[y] >> b & 1:
                     raise ValidationError("NotDownClosed", (y, a, b))
-        for a in bits(cols[y]):
-            for b in bits(cols[y]):
-                if not any(
-                    leq[a] >> c & 1 and leq[b] >> c & 1 for c in bits(cols[y])
-                ):
-                    raise ValidationError("NotDirected", (y, a, b))
+        pair = unbounded_pair(leq, cols[y])
+        if pair:
+            raise ValidationError("NotDirected", (y,) + pair)
     return CQuasiOrder(n, rows)
 
 
@@ -140,23 +136,10 @@ class Completion:
 
 
 def rounded_ideals(r: CQuasiOrder):
-    leq = r.lower_qoset().leq
-    out = []
-    for y in rounded_sets(r):
-        pts = list(bits(y))
-        if not pts:
-            continue
-        down = all(
-            not (leq[b] >> a & 1 and not y >> b & 1)
-            for a in pts for b in range(r.n)
-        )
-        directed = all(
-            any(leq[a] >> c & 1 and leq[b] >> c & 1 for c in pts)
-            for a in pts for b in pts
-        )
-        if down and directed:
-            out.append(y)
-    return out
+    """Rounded sets that are ideals (directed lower sets) of the lower
+    quasi-order."""
+    q = r.lower_qoset()
+    return [y for y in rounded_sets(r) if q.down(y) == y and is_directed(q.leq, y)]
 
 
 def rounded_ideal_completion(r: CQuasiOrder) -> Completion:
@@ -169,27 +152,12 @@ def rounded_ideal_completion(r: CQuasiOrder) -> Completion:
     domain = Qoset(k, rows)
     cols = r.preimages
     basis = SpaceMap(r.n, k, tuple(ideals.index(cols[x]) for x in range(r.n)))
-    wb = way_below_qoset(domain)
+    wb = td.way_below_qoset(domain)
     for x in range(r.n):
         for y in range(r.n):
             if bool(r.rel[x] >> y & 1) != bool(wb[basis(x)] >> basis(y) & 1):
                 raise ValidationError("CompletionMismatch", (x, y))
     return Completion(domain, tuple(ideals), basis)
-
-
-def way_below_qoset(q: Qoset):
-    """Way-below row masks on an arbitrary finite qoset: x wb y iff every
-    directed set with a least upper bound dominating y meets the filter of x."""
-    rows = [(1 << q.n) - 1] * q.n
-    for d in td.directed_subsets(q):
-        lubm = td.least_upper_bounds(q, d)
-        if not lubm:
-            continue
-        dominated = q.down(lubm)
-        for x in range(q.n):
-            if not q.leq[x] & d:
-                rows[x] &= ~dominated
-    return tuple(rows)
 
 
 # ------------------------------------------------------ nine-way profile
@@ -227,54 +195,22 @@ class CoreProfile:
 
 def is_core_space(s: Topology) -> bool:
     """Every point has a neighborhood base of cores."""
-    q = td.specialization(s)
-    ints = [td.interior(s, q.leq[b]) for b in range(s.n)]
-    for u in s.opens:
-        for x in bits(u):
-            if not any(
-                ints[b] >> x & 1 and q.leq[b] & ~u == 0 for b in range(s.n)
-            ):
-                return False
-    return True
-
-
-def _local_base(s: Topology, predicate) -> bool:
-    """Every point has a neighborhood base of sets satisfying the predicate."""
-    for u in s.opens:
-        for x in bits(u):
-            if not any(
-                td.interior(s, c) >> x & 1 and predicate(c)
-                for c in subsets_of(u)
-            ):
-                return False
-    return True
-
-
-def _is_filtered(q: Qoset, mask) -> bool:
-    pts = list(bits(mask))
-    geq = q.geq
-    return bool(pts) and all(
-        geq[a] & geq[b] & mask for a in pts for b in pts
-    )
-
-
-def _is_web_space(s: Topology) -> bool:
-    lat = latid.open_lattice(s)
-    if lat.n <= 10:
-        return latid.check_law(lat, "coframe")[0]
-    # the subset-quantified dual law folds to the binary case on a finite
-    # lattice, so the binary scan decides it
-    return latid.check_law(lat.dual(), "distributive")[0]
+    return core_basis_check(s, s.full)
 
 
 def core_space_profile(s: Topology) -> CoreProfile:
-    q = td.specialization(s)
+    tb = ospace.space_tables(s)
+    q = tb.q
+
+    def local_base(pred):
+        return ospace._neighborhood_base(tb, lambda c, _x: pred(c))
+
     open_lat = latid.open_lattice(s)
     closed_lat = latid.closed_lattice(s)
     return CoreProfile(
         core_base=is_core_space(s),
-        locally_supercompact=_local_base(
-            s, lambda c: td.compactness(s, c, "supercompact")
+        locally_supercompact=local_base(
+            lambda c: td.compactness(s, c, "supercompact")
         ),
         open_lattice_supercontinuous=latid.check_law(
             open_lat, "completely-distributive"
@@ -287,12 +223,12 @@ def core_space_profile(s: Topology) -> CoreProfile:
         )[0],
         interior_preserves_upper_unions=_interior_preserves_upper_unions(s, q),
         closure_preserves_lower_intersections=_closure_preserves_lower_intersections(s, q),
-        locally_hypercompact_web=_local_base(
-            s, lambda c: td.compactness(s, c, "hypercompact")
-        ) and _is_web_space(s),
-        locally_compact_wide_web=_local_base(
-            s, lambda c: td.compactness(s, c, "compact")
-        ) and _local_base(s, lambda c: _is_filtered(q, c)),
+        locally_hypercompact_web=local_base(
+            lambda c: td.compactness(s, c, "hypercompact")
+        ) and ospace._web_base(tb),
+        locally_compact_wide_web=local_base(
+            lambda c: td.compactness(s, c, "compact")
+        ) and local_base(lambda c: ospace._is_filtered_set(tb, c)),
     )
 
 
@@ -333,16 +269,7 @@ def _closure_preserves_lower_intersections(s: Topology, q: Qoset) -> bool:
 
 def core_basis_check(s: Topology, bmask) -> bool:
     """Cores of members of B form neighborhood bases everywhere."""
-    q = td.specialization(s)
-    ints = [td.interior(s, q.leq[b]) for b in range(s.n)]
-    for u in s.opens:
-        for y in bits(u):
-            if not any(
-                ints[b] >> y & 1 and q.leq[b] & ~u == 0
-                for b in bits(bmask & u)
-            ):
-                return False
-    return True
+    return ospace.is_core_base(ospace.space_tables(s), bmask)
 
 
 def minimal_core_basis(s: Topology) -> int:
@@ -368,9 +295,7 @@ def r_dense(r: BinaryRelation, bmask) -> bool:
 
 def r_cofinal(r: BinaryRelation, bmask) -> bool:
     """x R y implies x below-R b and b R y for some b in B."""
-    cols = tuple(
-        mask_of(x for x in range(r.n) if r.rel[x] >> y & 1) for y in range(r.n)
-    )
+    cols = transpose(r.n, r.rel)
     return all(
         not r.rel[x] >> y & 1
         or any(

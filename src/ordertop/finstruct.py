@@ -69,6 +69,26 @@ def subsets_of(mask):
         sub = (sub - mask) & mask
 
 
+def unbounded_pair(rows, mask):
+    """The first pair (a, b) of points of `mask`, in lexicographic order, with
+    no `rows`-bound inside `mask` (no c in mask with c in rows[a] & rows[b]),
+    or None.  A pair fails iff its transpose does, so b starts at a."""
+    rest = mask
+    for a in bits(mask):
+        ra = rows[a] & mask
+        for b in bits(rest):
+            if not ra & rows[b]:
+                return a, b
+        rest ^= 1 << a
+    return None
+
+
+def is_directed(rows, mask) -> bool:
+    """Nonempty, and every pair of points has a `rows`-bound inside: directed
+    for `leq` rows, filtered for `geq` rows."""
+    return bool(mask) and unbounded_pair(rows, mask) is None
+
+
 def check_carrier(n):
     if not 1 <= n <= MAX_POINTS:
         raise ValidationError("BadCarrier", (n,))
@@ -455,8 +475,9 @@ def are_isomorphic(a, b, kind=None):
 
     if sorted(inv_a) != sorted(inv_b):
         return False, None
-    # backtracking over images in increasing order gives the lexicographically
-    # least witness; the per-point invariants prune the search
+    # permutations come in lexicographic order, so the first match is the
+    # least witness; all n! are scanned, the per-point invariants only skip
+    # the isomorphism test on mismatched ones
     for perm in permutations(range(n)):
         if all(inv_a[x] == inv_b[perm[x]] for x in range(n)) and ok(perm):
             return True, perm
@@ -502,43 +523,67 @@ def _field(rec, name, typ):
     if name not in rec:
         raise SchemaError(name, "missing")
     v = rec[name]
-    if typ is int and not isinstance(v, int):
+    if typ is int and type(v) is not int:  # JSON true/false are bools
         raise SchemaError(name, "expected integer")
     if typ is list and not isinstance(v, list):
         raise SchemaError(name, "expected array")
     return v
 
 
-def decode(text):
-    """Inverse of encode; validation failures propagate as errors."""
+def point_masks(sets, n, name):
+    """Masks of a JSON array of arrays of points of the carrier 0..n-1."""
+    if type(sets) is not list or any(type(s) is not list for s in sets):
+        raise SchemaError(name, "expected an array of point arrays")
+    pts = [p for s in sets for p in s]
+    if {type(p) for p in pts} - {int} or pts and not 0 <= min(pts) <= max(pts) < n:
+        raise SchemaError(name, f"points must be the integers 0..{n - 1}")
+    return [mask_of(s) for s in sets]
+
+
+def _matrix_field(rec, name, n):
+    """An n x n matrix of the integers 0 and 1."""
+    m = _field(rec, name, list)
+    if len(m) != n or any(type(r) is not list or len(r) != n for r in m):
+        raise ValidationError("BadMatrix", (n,))
+    entries = [v for r in m for v in r]
+    if {type(v) for v in entries} - {int} or set(entries) - {0, 1}:
+        raise SchemaError(name, "entries must be the integers 0 and 1")
+    return m
+
+
+def _opens_field(rec, n):
+    return point_masks(_field(rec, "opens", list), n, "opens")
+
+
+def parse_json(text):
     try:
-        rec = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"position {e.pos}: {e.msg}") from e
+
+
+def decode(text):
+    """Inverse of encode; validation failures propagate as errors."""
+    rec = parse_json(text)
     if not isinstance(rec, dict):
         raise SchemaError("kind", "record must be an object")
     kind = _field(rec, "kind", None)
-    if kind == "topology":
-        n = _field(rec, "n", int)
-        opens = [mask_of(s) for s in _field(rec, "opens", list)]
-        return validate_topology(n, opens)
-    if kind == "qoset":
-        return validate_qoset(_field(rec, "n", int), _field(rec, "leq", list))
-    if kind == "ordered_space":
-        n = _field(rec, "n", int)
-        q = validate_qoset(n, _field(rec, "leq", list))
-        t = validate_topology(n, [mask_of(s) for s in _field(rec, "opens", list)])
-        return OrderedSpace(q, t)
-    if kind == "lattice":
-        return validate_lattice(_field(rec, "n", int), _field(rec, "leq", list))
-    if kind == "relation":
-        n = _field(rec, "n", int)
-        check_carrier(n)
-        return BinaryRelation(n, _rows_from(n, _field(rec, "rel", list)))
     if kind == "map":
-        return SpaceMap(
-            _field(rec, "n_src", int),
-            _field(rec, "n_dst", int),
-            tuple(_field(rec, "value", list)),
-        )
-    raise SchemaError("kind", f"unknown kind {kind!r}")
+        value = _field(rec, "value", list)
+        if any(type(v) is not int for v in value):
+            raise SchemaError("value", "expected an array of integers")
+        return SpaceMap(_field(rec, "n_src", int), _field(rec, "n_dst", int), tuple(value))
+    if kind not in ("topology", "qoset", "ordered_space", "lattice", "relation"):
+        raise SchemaError("kind", f"unknown kind {kind!r}")
+    n = _field(rec, "n", int)
+    check_carrier(n)
+    if kind == "topology":
+        return validate_topology(n, _opens_field(rec, n))
+    if kind == "qoset":
+        return validate_qoset(n, _matrix_field(rec, "leq", n))
+    if kind == "ordered_space":
+        q = validate_qoset(n, _matrix_field(rec, "leq", n))
+        return OrderedSpace(q, validate_topology(n, _opens_field(rec, n)))
+    if kind == "lattice":
+        return validate_lattice(n, _matrix_field(rec, "leq", n))
+    return BinaryRelation(n, _rows_from(n, _matrix_field(rec, "rel", n)))

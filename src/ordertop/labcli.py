@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from . import __version__, cord, latid, morphcat, ospace
 from . import topoderive as td
 from .finstruct import (
+    BinaryRelation,
     Lattice,
     OrderedSpace,
     ParseError,
@@ -29,6 +30,9 @@ from .finstruct import (
     decode,
     encode,
     mask_of,
+    parse_json,
+    point_masks,
+    transpose,
     validate_lattice,
 )
 
@@ -182,8 +186,7 @@ def lattices(n):
     for rows in posets(n):
         if not any(r == full for r in rows):
             continue
-        cols = [mask_of(x for x in range(n) if rows[x] >> y & 1) for y in range(n)]
-        if not any(c == full for c in cols):
+        if not any(c == full for c in transpose(n, rows)):
             continue
         try:
             out.append(validate_lattice(n, rows))
@@ -264,15 +267,8 @@ PREDICATES = {
     "sober": ("topology", td.is_sober),
     "d-space": ("topology", td.is_dspace),
     "core-space": ("topology", cord.is_core_space),
-    "web-space": ("topology", lambda s: _is_web_space(s)),
+    "web-space": ("topology", ospace.is_web_space),
 }
-
-
-def _is_web_space(s: Topology) -> bool:
-    tb = ospace.Tables(OrderedSpace(td.specialization(s), s))
-    return ospace._neighborhood_base(
-        tb, lambda w, x: ospace._is_web_around(tb, w, x)
-    )
 
 
 # ---------------------------------------------------------------- reports
@@ -580,9 +576,49 @@ def fixtures():
 
 # ---------------------------------------------------------------- CLI
 
-def _load(path):
+RECORD_CLASSES = {
+    "topology": Topology,
+    "ordered-space": OrderedSpace,
+    "qoset": Qoset,
+    "lattice": Lattice,
+    "relation": BinaryRelation,
+}
+
+# Record kinds the payload of each derive op, of `invariants` and of each
+# convert source may have (the class tags carry theirs in PREDICATES).
+ACCEPTS = {
+    "derive scott": ("qoset", "ordered-space"),
+    "derive lawson": ("qoset", "ordered-space"),
+    "derive patch": ("topology",),
+    "derive upper": ("ordered-space",),
+    "derive lower": ("ordered-space",),
+    "derive cocompact": ("topology",),
+    "derive interior-relation": ("topology",),
+    "derive completion": ("relation",),
+    "derive quasi-uniformity": ("topology",),
+    "invariants": ("topology",),
+    "convert c-ordered-set": ("relation",),
+    "convert t0-core-space": ("topology",),
+    "convert fan-ordered-space": ("ordered-space",),
+    "convert based-domain": ("qoset",),
+    "convert core-based-sober-space": ("topology",),
+    "convert based-supercontinuous-lattice": ("lattice",),
+}
+
+
+def _require(obj, kinds, what):
+    if not isinstance(obj, tuple(RECORD_CLASSES[k] for k in kinds)):
+        raise ValidationError("KindMismatch", (what, type(obj).__name__))
+    return obj
+
+
+def _read(path):
     with open(path, encoding="utf-8") as fh:
-        return decode(fh.read())
+        return fh.read()
+
+
+def _load(path, kinds, what):
+    return _require(decode(_read(path)), kinds, what)
 
 
 def _emit(text, out):
@@ -598,14 +634,7 @@ def _cmd_check(args):
         print(f"unknown class tag: {args.cls}", file=sys.stderr)
         return 2
     kind, fn = PREDICATES[args.cls]
-    obj = _load(args.infile)
-    if kind == "ordered-space" and not isinstance(obj, OrderedSpace):
-        print("class tag needs an ordered_space record", file=sys.stderr)
-        return 2
-    if kind == "topology" and not isinstance(obj, Topology):
-        print("class tag needs a topology record", file=sys.stderr)
-        return 2
-    verdict = fn(obj)
+    verdict = fn(_load(args.infile, (kind,), f"check {args.cls}"))
     print(json.dumps({"class": args.cls, "verdict": verdict}))
     return 0 if verdict else 1
 
@@ -613,7 +642,11 @@ def _cmd_check(args):
 def _cmd_derive(args):
     op = args.op.replace("υ", "upsilon").replace("σ", "sigma") \
         .replace("α", "alpha")
-    obj = _load(args.infile)
+    key = "derive " + ("patch" if op.startswith("patch:") else op)
+    if key not in ACCEPTS:
+        print(f"unknown derive op: {args.op}", file=sys.stderr)
+        return 2
+    obj = _load(args.infile, ACCEPTS[key], key)
     if op in ("scott", "lawson"):
         q = obj.qoset if isinstance(obj, OrderedSpace) else obj
         res = td.upset_topology(q, "sigma" if op == "scott" else "lawson")
@@ -636,16 +669,13 @@ def _cmd_derive(args):
             "basis": list(comp.basis.value),
         }, sort_keys=True), args.out)
         return 0
-    elif op == "quasi-uniformity":
+    else:  # quasi-uniformity
         e = td.quasi_uniformity(obj)
         _emit(json.dumps({
             "n": e.n,
             "base": [json.loads(encode(r)) for r in e.base],
         }, sort_keys=True), args.out)
         return 0
-    else:
-        print(f"unknown derive op: {args.op}", file=sys.stderr)
-        return 2
     _emit(encode(res), args.out)
     return 0
 
@@ -677,8 +707,7 @@ def _cmd_hunt(args):
 
 
 def _cmd_invariants(args):
-    obj = _load(args.infile)
-    inv = cord.cardinal_invariants(obj)
+    inv = cord.cardinal_invariants(_load(args.infile, ACCEPTS["invariants"], "invariants"))
     print(json.dumps({
         "c": inv.c, "w_open": inv.w_open, "w_closed": inv.w_closed,
         "w_patch": inv.w_patch, "d_patch": inv.d_patch,
@@ -687,12 +716,16 @@ def _cmd_invariants(args):
 
 
 def _rep_from_file(kind, path):
-    with open(path, encoding="utf-8") as fh:
-        raw = json.loads(fh.read())
-    payload = decode(json.dumps(raw["payload"]))
+    key = "convert " + kind
+    if key not in ACCEPTS:
+        raise ValidationError("UnknownKind", (kind,))
+    raw = parse_json(_read(path))
+    if not isinstance(raw, dict) or "payload" not in raw:
+        raise SchemaError("payload", "missing")
+    payload = _require(decode(json.dumps(raw["payload"])), ACCEPTS[key], key)
+    basis = point_masks([raw["basis"]], payload.n, "basis")[0] if "basis" in raw else None
     if kind == "c-ordered-set":
         payload = cord.CQuasiOrder(payload.n, payload.rel)
-    basis = mask_of(raw["basis"]) if "basis" in raw else None
     return morphcat.Representation(kind, payload, basis)
 
 
@@ -767,7 +800,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValidationError, SchemaError, ParseError, FileNotFoundError) as exc:
+    except (ValidationError, SchemaError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,6 +7,9 @@ identity over set collections is written as
     meet{ join(Y) : Y in YY } = join( intersection(YY) )
 
 over collections YY of lower sets (all / finitely generated / ideals, per law).
+It is decided by its two-member fold on the intersection-closed families, and
+for all lower sets by the superway join criterion; the tests replay both
+against the scan over every subcollection.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ from .finstruct import (
     Topology,
     ValidationError,
     bits,
+    is_directed,
     mask_of,
     mask_to_list,
+    transpose,
     validate_lattice,
 )
 from .topoderive import directed_subsets
@@ -36,8 +41,6 @@ LAWS = (
     "continuous-lattice",
     "distributive",
 )
-
-DIRECT_SCAN_CAP = 5  # elements; the collection-quantified laws scan 2^#lowersets
 
 
 @dataclass(frozen=True)
@@ -96,23 +99,14 @@ def finitely_generated_lower_sets(lat: Lattice):
 def ideal_masks(lat: Lattice):
     """Directed lower sets, ascending."""
     q = lat.poset()
-    out = []
-    for d in downset_masks(q):
-        pts = list(bits(d))
-        if pts and all(q.leq[a] & q.leq[b] & d for a in pts for b in pts):
-            out.append(d)
-    return out
+    return [d for d in downset_masks(q) if is_directed(q.leq, d)]
 
 
 # ------------------------------------------------------------ law checking
 
-def check_law(lat: Lattice, law: str, direct: bool = False):
+def check_law(lat: Lattice, law: str):
     """Verdict for a lattice law, plus the lexicographically least
-    counterexample witness on failure (None on success).
-
-    ``direct=True`` forces the full collection scan for the laws quantified
-    over collections of lower sets; it is capped at DIRECT_SCAN_CAP elements.
-    """
+    counterexample witness on failure (None on success)."""
     if law == "frame":
         return _binary_meet_join_law(lat)
     if law == "coframe":
@@ -122,32 +116,15 @@ def check_law(lat: Lattice, law: str, direct: bool = False):
     if law == "meet-continuous":
         return _meet_join_law_over(lat, directed_subsets(lat.poset()))
     if law == "continuous-lattice":
-        if direct:
-            _check_cap(lat, law)
-            return _collection_law(lat, ideal_masks(lat))
         return _pairwise_collection_law(lat, ideal_masks(lat))
     if law == "completely-distributive":
-        if direct:
-            _check_cap(lat, law)
-            return _collection_law(lat, lower_set_masks(lat))
         return _superway_join_test(lat)
     if law == "wide-coframe":
-        if direct:
-            _check_cap(lat, law)
-            return _collection_law(lat, finitely_generated_lower_sets(lat))
         return _pairwise_collection_law(lat, finitely_generated_lower_sets(lat))
     if law == "wide-frame":
         dual = lat.dual()
-        if direct:
-            _check_cap(lat, law)
-            return _collection_law(dual, finitely_generated_lower_sets(dual))
         return _pairwise_collection_law(dual, finitely_generated_lower_sets(dual))
     raise ValidationError("UnknownLaw", (law,))
-
-
-def _check_cap(lat, law):
-    if lat.n > DIRECT_SCAN_CAP:
-        raise ValidationError("SizeCapExceeded", (law, lat.n))
 
 
 def _binary_meet_join_law(lat: Lattice):
@@ -182,24 +159,6 @@ def _distributive(lat: Lattice):
     return True, None
 
 
-def _collection_law(lat: Lattice, family):
-    """meet{join Y} = join(intersection YY) over all subcollections of the
-    given family of lower sets (empty meet = top, empty intersection = all)."""
-    fam = list(family)
-    full = (1 << lat.n) - 1
-    joins = [lat.join_of(y) for y in fam]
-    for sel in range(1 << len(fam)):
-        lhs = lat.top
-        inter = full
-        for i in bits(sel):
-            lhs = lat.meet[lhs][joins[i]]
-            inter &= fam[i]
-        if lhs != lat.join_of(inter):
-            witness = tuple(tuple(mask_to_list(fam[i])) for i in bits(sel))
-            return False, witness
-    return True, None
-
-
 def _pairwise_collection_law(lat: Lattice, family):
     """The collection identity restricted to two-member collections; the
     family is intersection-closed, so the finite identity folds to pairs."""
@@ -215,9 +174,7 @@ def _pairwise_collection_law(lat: Lattice, family):
 
 def _superway_join_test(lat: Lattice):
     """Every element is the join of the elements superway-below it."""
-    rel = below_relation(lat, "superway")
-    cols = [mask_of(x for x in range(lat.n) if rel.rel[x] >> y & 1)
-            for y in range(lat.n)]
+    cols = transpose(lat.n, below_relation(lat, "superway").rel)
     for y in range(lat.n):
         if lat.join_of(cols[y]) != y:
             return False, (y,)
@@ -226,7 +183,7 @@ def _superway_join_test(lat: Lattice):
 
 # ------------------------------------------------------------ below relations
 
-def below_relation(lat: Lattice, kind: str, direct: bool = False) -> BinaryRelation:
+def below_relation(lat: Lattice, kind: str) -> BinaryRelation:
     """way-below: x << y iff every directed set whose join dominates y meets
     the principal filter of x.  superway: x sw y iff x lies in the down-closure
     of every subset whose join dominates y."""
@@ -244,15 +201,6 @@ def below_relation(lat: Lattice, kind: str, direct: bool = False) -> BinaryRelat
                     rows[x] &= ~dominated
         return BinaryRelation(n, tuple(rows))
     if kind == "superway":
-        if direct:
-            rows = [(1 << n) - 1] * n
-            for a in range(1 << n):
-                dominated = q.geq[lat.join_of(a)]
-                below = q.down(a)
-                for x in range(n):
-                    if not below >> x & 1:
-                        rows[x] &= ~dominated
-            return BinaryRelation(n, tuple(rows))
         # x sw y iff y is not below the join of the complement of the
         # principal filter of x (the complement is the critical subset)
         full = (1 << n) - 1
@@ -280,14 +228,9 @@ def coprimes(lat: Lattice) -> int:
     out = 0
     for x in range(lat.n):
         c = full ^ q.leq[x]
-        if c and q.down(c) == c and _is_directed(q, c):
+        if q.down(c) == c and is_directed(q.leq, c):
             out |= 1 << x
     return out
-
-
-def _is_directed(q, mask) -> bool:
-    pts = list(bits(mask))
-    return all(q.leq[a] & q.leq[b] & mask for a in pts for b in pts)
 
 
 # ------------------------------------------------------------ weight

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from . import cord, latid
+from . import cord, latid, ospace
 from . import topoderive as td
 from .finstruct import (
     OrderedSpace,
@@ -18,6 +18,7 @@ from .finstruct import (
     Topology,
     ValidationError,
     bits,
+    is_directed,
     mask_of,
     mask_to_list,
 )
@@ -30,6 +31,8 @@ KINDS = (
     "core-based-sober-space",
     "based-supercontinuous-lattice",
 )
+
+BASED_KINDS = KINDS[3:]  # the kinds that carry a basis
 
 ZETAS = ("upsilon", "sigma", "alpha")
 
@@ -199,6 +202,8 @@ class Representation:
 
 
 def validate_representation(r: Representation) -> bool:
+    if r.kind in BASED_KINDS and r.basis is None:
+        raise ValidationError("MissingBasis", (r.kind,))
     if r.kind == "c-ordered-set":
         rel = r.payload
         cord.validate_cquasiorder(rel.n, rel.rel)
@@ -213,7 +218,6 @@ def validate_representation(r: Representation) -> bool:
             raise ValidationError("NotCoreSpace", ())
         return True
     if r.kind == "fan-ordered-space":
-        from . import ospace
         t = r.payload
         if not t.qoset.is_antisymmetric():
             raise ValidationError("NotAntisymmetric", ())
@@ -224,13 +228,10 @@ def validate_representation(r: Representation) -> bool:
         q = r.payload
         if not q.is_antisymmetric():
             raise ValidationError("NotAntisymmetric", ())
-        wb = cord.way_below_qoset(q)
+        wb = td.way_below_qoset(q)
         for y in range(q.n):
             d = mask_of(b for b in bits(r.basis) if wb[b] >> y & 1)
-            pts = list(bits(d))
-            if not pts or not all(
-                q.leq[a] & q.leq[b] & d for a in pts for b in pts
-            ):
+            if not is_directed(q.leq, d):
                 raise ValidationError("BasisNotDirected", (y,))
             if not td.least_upper_bounds(q, d) >> y & 1:
                 raise ValidationError("BasisJoinMismatch", (y,))
@@ -270,7 +271,7 @@ def _to_c(r: Representation) -> cord.CQuasiOrder:
         return cord.CQuasiOrder(rel.n, rel.rel)
     if r.kind == "based-domain":
         q = r.payload
-        wb = cord.way_below_qoset(q)
+        wb = td.way_below_qoset(q)
         base = mask_to_list(r.basis)
         rows = tuple(
             mask_of(j for j, b2 in enumerate(base) if wb[b] >> b2 & 1)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import cord
 from . import topoderive as td
 from .finstruct import (
     OrderedSpace,
@@ -27,7 +26,9 @@ from .finstruct import (
     ValidationError,
     bits,
     generate_topology,
+    is_directed,
     subsets_of,
+    transpose,
 )
 
 
@@ -36,7 +37,7 @@ from .finstruct import (
 class Tables:
     """Per-space caches shared by the predicate evaluations.  A precomputed
     interior table (indexed by point-set mask) may be supplied when sweeping
-    many qosets against one topology."""
+    many qosets against one topology; otherwise it is built on first use."""
 
     def __init__(self, space: OrderedSpace, interior_table=None):
         self.space = space
@@ -45,9 +46,12 @@ class Tables:
         self.n = space.n
         self.full = self.t.full
         self.opens_set = set(self.t.opens)
-        if interior_table is None:
-            interior_table = interior_table_of(self.t)
-        self.int_of = interior_table
+        if interior_table is not None:
+            self.int_of = interior_table
+
+    @cached_property
+    def int_of(self):
+        return interior_table_of(self.t)
 
     @cached_property
     def M(self):
@@ -137,8 +141,10 @@ class Tables:
 
     @cached_property
     def int_up(self):
-        """Interior (ambient topology) of each principal filter."""
-        return tuple(self.int_of[self.q.leq[u]] for u in range(self.n))
+        """Interior (ambient topology) of each principal filter; computed
+        directly, so a core check on a large space builds no interior
+        table."""
+        return tuple(td.interior(self.t, row) for row in self.q.leq)
 
     @cached_property
     def int_upper_of(self):
@@ -152,6 +158,11 @@ class Tables:
     def int_up_upper(self):
         """Interior w.r.t. the upper topology of each principal filter."""
         return tuple(self.int_upper_of[self.q.leq[u]] for u in range(self.n))
+
+    @cached_property
+    def upper_tables(self) -> "Tables":
+        """Tables of the upper space, ordered by its specialization q2."""
+        return Tables(OrderedSpace(self.q2, self.upper_space), self.int_upper_of)
 
     @cached_property
     def upsilon_dual(self) -> Topology:
@@ -169,6 +180,11 @@ class Tables:
     @cached_property
     def upper_sets(self):
         return self.q.upper_sets()
+
+
+def space_tables(s: Topology) -> Tables:
+    """Tables of a topological space, ordered by its specialization."""
+    return Tables(OrderedSpace(td.specialization(s), s))
 
 
 def interior_table_of(t: Topology):
@@ -328,23 +344,6 @@ def is_zeta_convex(tb: Tables, zeta: str) -> bool:
     return _cotopology_convex(tb, td.upset_topology(tb.q2.dual(), zeta))
 
 
-def hyperconvex_fan_base(tb: Tables) -> bool:
-    """Cross-check criterion: the sets U minus an up-closed complement piece
-    (U open upper, F finite) form a base of the topology."""
-    q2 = tb.q2
-    cols = q2.geq
-    hx = []
-    for x in range(tb.n):
-        f = tb.full ^ cols[x]
-        hx.append(tb.Mup[x] & ~q2.up(f))
-    sub_ok = all(
-        tb.full ^ q2.up(1 << y) in tb.opens_set for y in range(tb.n)
-    )
-    return sub_ok and all(
-        all(hx[x] & ~o == 0 for x in bits(o)) for o in tb.t.opens
-    )
-
-
 def convexity_profile(t: OrderedSpace, tables: Tables = None) -> ConvexityProfile:
     tb = tables or Tables(t)
     return ConvexityProfile(
@@ -474,8 +473,8 @@ class WebProfile:
 
 
 def _neighborhood_base(tb: Tables, pred) -> bool:
-    """Every point has a neighborhood base of pred-sets; quantified over
-    subsets of the minimal open neighborhood."""
+    """Every point x has a neighborhood base of sets w with pred(w, x);
+    quantified over subsets of the minimal open neighborhood M[x]."""
     for x in range(tb.n):
         if not any(
             tb.int_of[w] >> x & 1 and pred(w, x)
@@ -493,10 +492,28 @@ def _is_web_around(tb: Tables, w, x) -> bool:
 
 
 def _is_filtered_set(tb: Tables, w, _x=None) -> bool:
-    pts = list(bits(w))
-    geq = tb.q.geq
-    return bool(pts) and all(
-        geq[a] & geq[b] & w for a in pts for b in pts
+    return is_directed(tb.q.geq, w)
+
+
+def _web_base(tb: Tables) -> bool:
+    """Every point has a neighborhood base of webs around it w.r.t. tb.q."""
+    return _neighborhood_base(tb, lambda w, x: _is_web_around(tb, w, x))
+
+
+def is_web_space(s: Topology) -> bool:
+    """Every point has a neighborhood base of webs around it with respect to
+    the specialization order."""
+    return _web_base(space_tables(s))
+
+
+def is_core_base(tb: Tables, bmask) -> bool:
+    """The cores of the members of B form neighborhood bases everywhere; the
+    core of b is its principal filter in tb.q, the specialization of tb.t.
+    At x it suffices that some b in B inside M[x] has x in the interior of
+    its core, since that core lies inside M[x]."""
+    return all(
+        any(tb.int_up[b] >> x & 1 for b in bits(bmask & tb.M[x]))
+        for x in range(tb.n)
     )
 
 
@@ -523,9 +540,7 @@ def _is_fan(tb: Tables, w, _x=None) -> bool:
 
 
 def is_web_ordered(tb: Tables) -> bool:
-    return is_up_stable(tb) and _neighborhood_base(
-        tb, lambda w, x: _is_web_around(tb, w, x)
-    )
+    return is_up_stable(tb) and _web_base(tb)
 
 
 def is_locally_filtered(tb: Tables) -> bool:
@@ -614,30 +629,16 @@ def is_continuous_domain(q: Qoset) -> bool:
     """Domain in which each way-below set is directed with join the point."""
     if not is_domain(q):
         return False
-    wb = cord.way_below_qoset(q)
-    cols = tuple(
-        sum(1 << x for x in range(q.n) if wb[x] >> y & 1) for y in range(q.n)
+    wb = td.way_below_qoset(q)
+    return all(
+        is_directed(q.leq, d) and td.least_upper_bounds(q, d) >> y & 1
+        for y, d in enumerate(transpose(q.n, wb))
     )
-    for y in range(q.n):
-        d = cols[y]
-        pts = list(bits(d))
-        if not pts:
-            return False
-        if not all(q.leq[a] & q.leq[b] & d for a in pts for b in pts):
-            return False
-        if not td.least_upper_bounds(q, d) >> y & 1:
-            return False
-    return True
 
 
 def is_meet_continuous_domain(q: Qoset) -> bool:
-    """Domain whose Scott space is a web space (webs w.r.t. the Scott
-    specialization, which is the order itself)."""
-    if not is_domain(q):
-        return False
-    scott = td.scott_topology(q)
-    tb = Tables(OrderedSpace(q, scott))
-    return _neighborhood_base(tb, lambda w, x: _is_web_around(tb, w, x))
+    """Domain whose Scott space is a web space."""
+    return is_domain(q) and is_web_space(td.scott_topology(q))
 
 
 def is_t2_space(t: Topology) -> bool:
@@ -678,33 +679,8 @@ def thm_5_3_sides(tb: Tables):
     side2 = (
         is_semi_qospace(tb) and is_hyperconvex(tb) and is_core_stable(tb)
     )
-    side3 = _is_weak_patch_of_core_space(tb)
+    side3 = _is_weak_patch_of(tb, _upper_is_core)
     return side1, side2, side3
-
-
-def _is_weak_patch_of_core_space(tb: Tables):
-    """The space equals the weak patch of its upper space, and that upper
-    space is locally supercompact."""
-    if tb.space.qoset.leq != tb.Mup:
-        return False
-    patched = generate_topology(
-        tb.n, list(tb.upper_opens) + list(tb.upsilon_dual.opens)
-    )
-    if patched != tb.t:
-        return False
-    return _upper_space_is_core(tb)
-
-
-def _upper_space_is_core(tb: Tables) -> bool:
-    q2 = tb.q2
-    ints = [tb.int_upper_of[q2.leq[b]] for b in range(tb.n)]
-    for u in tb.upper_opens:
-        for x in bits(u):
-            if not any(
-                ints[b] >> x & 1 and q2.leq[b] & ~u == 0 for b in range(tb.n)
-            ):
-                return False
-    return True
 
 
 def thm_6_2_sides(tb: Tables):
@@ -744,13 +720,15 @@ def thm_7_2_sides(tb: Tables, meet):
     w21 = _is_weak_patch_of(tb, _upper_is_wide_web)
     w22 = is_locally_filtered(tb) and is_up_stable(tb)
     w23 = is_s_topological(tb, meet)
-    w31 = _is_weak_patch_of(tb, lambda t: _upper_space_is_core(t))
+    w31 = _is_weak_patch_of(tb, _upper_is_core)
     w32 = is_core_stable(tb) and is_qospace(tb) and tb.q.is_antisymmetric()
     w33 = is_s_topological(tb, meet) and _upper_locally_compact(tb)
     return w11, w12, w13, w21, w22, w23, w31, w32, w33
 
 
 def _is_weak_patch_of(tb: Tables, upper_pred) -> bool:
+    """The space equals the weak patch of its upper space, and that upper
+    space satisfies upper_pred."""
     if tb.space.qoset.leq != tb.Mup:
         return False
     patched = generate_topology(
@@ -759,31 +737,24 @@ def _is_weak_patch_of(tb: Tables, upper_pred) -> bool:
     return patched == tb.t and upper_pred(tb)
 
 
+def _upper_is_core(tb: Tables) -> bool:
+    return is_core_base(tb.upper_tables, tb.full)
+
+
 def _upper_is_web(tb: Tables) -> bool:
-    q2 = tb.q2
-    up_tb = Tables(OrderedSpace(q2, tb.upper_space), tb.int_upper_of)
-    return _neighborhood_base(
-        up_tb, lambda w, x: _is_web_around(up_tb, w, x)
-    )
+    return _web_base(tb.upper_tables)
 
 
 def _upper_is_wide_web(tb: Tables) -> bool:
-    q2 = tb.q2
-    up_tb = Tables(OrderedSpace(q2, tb.upper_space), tb.int_upper_of)
+    up_tb = tb.upper_tables
     return _neighborhood_base(up_tb, lambda w, x: _is_filtered_set(up_tb, w))
 
 
 def _upper_locally_compact(tb: Tables) -> bool:
     s = tb.upper_space
-    for u in s.opens:
-        for x in bits(u):
-            if not any(
-                tb.int_upper_of[c] >> x & 1
-                and td.compactness(s, c, "compact")
-                for c in subsets_of(u)
-            ):
-                return False
-    return True
+    return _neighborhood_base(
+        tb.upper_tables, lambda w, x: td.compactness(s, w, "compact")
+    )
 
 
 def prop_7_4_sides(tb: Tables):

@@ -18,16 +18,12 @@ from .finstruct import (
     ValidationError,
     bits,
     generate_topology,
+    is_directed,
     mask_of,
     transpose,
 )
 
 COSELECTIONS = ("upsilon", "sigma", "alpha")
-
-
-class NotCoreSpace(Exception):
-    """Unreachable for valid finite input; kept for contract clarity."""
-
 
 # ----------------------------------------------------------- specialization
 
@@ -46,22 +42,12 @@ def specialization(t: Topology) -> Qoset:
 
 def directed_subsets(q: Qoset):
     """Nonempty subsets in which every pair has an upper bound inside."""
-    out = []
-    for d in range(1, 1 << q.n):
-        pts = list(bits(d))
-        if all(q.leq[x] & q.leq[y] & d for x in pts for y in pts):
-            out.append(d)
-    return out
+    return [d for d in range(1, 1 << q.n) if is_directed(q.leq, d)]
 
 
 def filtered_subsets(q: Qoset):
     geq = q.geq
-    out = []
-    for d in range(1, 1 << q.n):
-        pts = list(bits(d))
-        if all(geq[x] & geq[y] & d for x in pts for y in pts):
-            out.append(d)
-    return out
+    return [d for d in range(1, 1 << q.n) if is_directed(geq, d)]
 
 
 def upper_bounds(q: Qoset, mask) -> int:
@@ -75,6 +61,21 @@ def least_upper_bounds(q: Qoset, mask) -> int:
     """{y : for all z, (mask subset of down z) iff y <= z}, as a mask."""
     ub = upper_bounds(q, mask)
     return mask_of(y for y in range(q.n) if q.leq[y] == ub)
+
+
+def way_below_qoset(q: Qoset):
+    """Way-below row masks on an arbitrary finite qoset: x wb y iff every
+    directed set with a least upper bound dominating y meets the filter of x."""
+    rows = [(1 << q.n) - 1] * q.n
+    for d in directed_subsets(q):
+        lubm = least_upper_bounds(q, d)
+        if not lubm:
+            continue
+        dominated = q.down(lubm)
+        for x in range(q.n):
+            if not q.leq[x] & d:
+                rows[x] &= ~dominated
+    return tuple(rows)
 
 
 # ----------------------------------------------------------- upset topologies
@@ -283,8 +284,6 @@ def quasi_uniformity(s: Topology) -> EntourageBase:
     n = s.n
     full = (1 << n) - 1
     rrows = _interior_relation_rows(s)
-    if any(not rrows[x] >> x & 1 for x in range(n)):
-        raise NotCoreSpace(s)
     gens = set()
     for xp in range(n):
         for yp in range(n):

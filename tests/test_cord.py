@@ -1,22 +1,25 @@
 """Idempotent relations, interior relations, rounded ideal completions, the
-nine-way locally-supercompact profile, core bases and cardinal invariants."""
+nine-way locally-supercompact profile, core bases and cardinal invariants.
+
+The core-base test and web spaces are replayed against their full-scan and
+open-lattice definitions."""
 
 import pytest
 
-from ordertop import cord, latid
+from ordertop import cord, latid, ospace
 from ordertop import topoderive as td
 from ordertop.finstruct import (
-    BinaryRelation,
+    OrderedSpace,
     Qoset,
     Topology,
     ValidationError,
     bits,
-    mask_of,
 )
-from ordertop.labcli import topologies
+from ordertop.labcli import posets, topologies
 
 SIER = Topology(2, (0, 2, 3))
 ALL_TOPS_3 = [Topology(3, opens) for opens in topologies(3)]
+ALL_TOPS_TO_4 = [Topology(n, opens) for n in range(1, 5) for opens in topologies(n)]
 
 
 # ---------------------------------------------------------------- validation
@@ -86,7 +89,7 @@ def test_completion_verifies_relation_as_way_below():
     for s in ALL_TOPS_3:
         c = cord.CQuasiOrder(3, cord.interior_relation(s).rel)
         comp = cord.rounded_ideal_completion(c)
-        wb = cord.way_below_qoset(comp.domain)
+        wb = td.way_below_qoset(comp.domain)
         for x in range(3):
             for y in range(3):
                 assert bool(c.rel[x] >> y & 1) == bool(
@@ -150,7 +153,50 @@ def test_is_core_space_matches_profile():
         assert cord.is_core_space(s) == cord.core_space_profile(s).core_base
 
 
+def _coframe_web_space_oracle(s):
+    """Web space as the coframe law of the open lattice; on a finite lattice
+    the subset-quantified dual law folds to binary distributivity, which is
+    the cheaper scan on the larger lattices."""
+    lat = latid.open_lattice(s)
+    if lat.n <= 10:
+        return latid.check_law(lat, "coframe")[0]
+    return latid.check_law(lat.dual(), "distributive")[0]
+
+
+def test_web_space_matches_coframe_oracle():
+    assert len(ALL_TOPS_TO_4) == 389
+    for s in ALL_TOPS_TO_4:
+        assert ospace.is_web_space(s) == _coframe_web_space_oracle(s)
+
+
 # ---------------------------------------------------------------- core bases
+
+def _core_basis_oracle(s, bmask):
+    """Full scan: every open u around every point y contains the core of
+    some b in B that has y in its interior."""
+    q = td.specialization(s)
+    return all(
+        any(
+            td.interior(s, q.leq[b]) >> y & 1 and q.leq[b] & ~u == 0
+            for b in bits(bmask & u)
+        )
+        for u in s.opens for y in bits(u)
+    )
+
+
+def test_core_basis_check_matches_full_scan():
+    for s in ALL_TOPS_3:
+        for b in range(s.full + 1):
+            assert cord.core_basis_check(s, b) == _core_basis_oracle(s, b)
+
+
+def test_upper_space_core_check_matches_full_scan():
+    for rows in posets(3):
+        for s in ALL_TOPS_3:
+            tb = ospace.Tables(OrderedSpace(Qoset(3, rows), s))
+            assert ospace._upper_is_core(tb) == \
+                _core_basis_oracle(tb.upper_space, tb.full)
+
 
 def test_core_basis_examples():
     # the open point must witness its own smallest neighborhood and the

@@ -1,12 +1,13 @@
 """Enumeration counts, suite reports, determinism, hunting, fixtures, and the
 command-line surface."""
 
+import hashlib
 import json
 
 import pytest
 
 from ordertop import labcli, latid
-from ordertop.finstruct import Qoset, Topology, ValidationError, encode
+from ordertop.finstruct import OrderedSpace, Qoset, Topology, ValidationError, encode
 from ordertop.labcli import (
     FAULTS,
     HypothesisSpec,
@@ -256,3 +257,92 @@ def test_cli_convert(tmp_path, capsys):
 
 def test_cli_missing_file(capsys):
     assert main(["check", "--class", "t0", "--in", "/nonexistent.json"]) == 2
+
+
+QOSET_REC = encode(Qoset(2, (3, 2)))
+TOPOLOGY_REC = encode(SIER)
+SPACE_REC = encode(OrderedSpace(Qoset(2, (3, 2)), SIER))
+
+
+@pytest.mark.parametrize(
+    "argv,record",
+    [
+        (["derive", "--op", "lawson"], TOPOLOGY_REC),
+        (["derive", "--op", "scott"], TOPOLOGY_REC),
+        (["derive", "--op", "upper"], QOSET_REC),
+        (["derive", "--op", "lower"], QOSET_REC),
+        (["derive", "--op", "patch:upsilon"], QOSET_REC),
+        (["derive", "--op", "patch:sigma"], SPACE_REC),
+        (["derive", "--op", "cocompact"], QOSET_REC),
+        (["derive", "--op", "interior-relation"], SPACE_REC),
+        (["derive", "--op", "quasi-uniformity"], QOSET_REC),
+        (["derive", "--op", "completion"], TOPOLOGY_REC),
+        (["derive", "--op", "completion"], QOSET_REC),
+        (["invariants"], QOSET_REC),
+        (["invariants"], SPACE_REC),
+        (["check", "--class", "sober"], SPACE_REC),
+        (["check", "--class", "fan-space"], TOPOLOGY_REC),
+        (["convert", "--from", "t0-core-space", "--to", "c-ordered-set"], TOPOLOGY_REC),
+        (["convert", "--from", "based-domain", "--to", "t0-core-space"],
+         json.dumps({"kind": "based-domain", "payload": json.loads(TOPOLOGY_REC),
+                     "basis": [0, 1]})),
+        (["convert", "--from", "based-domain", "--to", "t0-core-space"],
+         json.dumps({"kind": "based-domain", "payload": json.loads(QOSET_REC)})),
+        (["convert", "--from", "based-domain", "--to", "t0-core-space"],
+         json.dumps({"kind": "based-domain", "payload": json.loads(QOSET_REC),
+                     "basis": [0, 2]})),
+        (["convert", "--from", "t0-core-space", "--to", "c-ordered-set"], "{oops"),
+        # matrices hold only the integers 0 and 1, opens only carrier points
+        (["derive", "--op", "scott"], '{"kind":"qoset","n":2,"leq":[[1,"x"],[0,1]]}'),
+        (["derive", "--op", "scott"], '{"kind":"qoset","n":2,"leq":[[1,null],[0,1]]}'),
+        (["derive", "--op", "scott"], '{"kind":"qoset","n":2,"leq":[[1,1],1.5]}'),
+        (["derive", "--op", "scott"], '{"kind":"qoset","n":2,"leq":[[1.0,0],[0,1]]}'),
+        (["derive", "--op", "scott"], '{"kind":"qoset","n":2,"leq":[[1,2],[0,1]]}'),
+        (["derive", "--op", "scott"], '{"kind":"qoset","n":2,"leq":[[1,true],[0,1]]}'),
+        (["derive", "--op", "completion"], '{"kind":"relation","n":2,"rel":[[1,"1"],[0,1]]}'),
+        (["invariants"], '{"kind":"lattice","n":2,"leq":[[1,1],[0,"x"]]}'),
+        (["invariants"], '{"kind":"topology","n":2,"opens":[[],["a"],[0,1]]}'),
+        (["invariants"], '{"kind":"topology","n":2,"opens":[[],[1.0],[0,1]]}'),
+        (["invariants"], '{"kind":"topology","n":2,"opens":[[],[-1],[0,1]]}'),
+        (["invariants"], '{"kind":"topology","n":2,"opens":[[],1,[0,1]]}'),
+        (["invariants"], '{"kind":"topology","n":true,"opens":[[],[0]]}'),
+        (["invariants"], '{"kind":"map","n_src":1,"n_dst":1,"value":["a"]}'),
+    ],
+)
+def test_cli_rejects_bad_records(tmp_path, capsys, argv, record):
+    path = _write(tmp_path, "r.json", record)
+    assert main(argv + ["--in", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+# sha256 over json.dumps([instance, ok, detail], sort_keys=True) of every
+# case of a suite, first 16 hex digits; n = 3 (lattice-laws: n = 5)
+VERDICT_STREAM_PINS = {
+    ("thm-3.3-roundtrip", None): "0a66121739543c5d",
+    ("thm-4.6", None): "6887ce79d29c624d",
+    ("thm-5.3", None): "6887ce79d29c624d",
+    ("thm-6.2", None): "ad03992543ae9910",
+    ("thm-7.2", None): "6abf29c8d41760e4",
+    ("thm-8.4", None): "9b335cae85621c2b",
+    ("thm-9.3", None): "6a9ac555b5b23fe5",
+    ("prop-3.1", None): "cab4b9bc2ae15ed2",
+    ("prop-5.5", None): "0a66121739543c5d",
+    ("prop-7.4", None): "359e6c9040914679",
+    ("prop-9.1", None): "b0909f53a17ffea8",
+    ("lattice-laws", None): "61652e4fcf79608a",
+    ("count-crosscheck", None): "779a837114a7e623",
+    # the fault pins tell thm-4.6 and thm-5.3 apart
+    ("thm-4.6", "sector-no-separation"): "6b1dea90773a104b",
+    ("thm-5.3", "fan-no-separation"): "a0cd681ed46fcdf5",
+}
+
+
+def test_verdict_stream_pins():
+    assert {suite for suite, _fault in VERDICT_STREAM_PINS} == set(labcli.SUITES)
+    for (suite, fault), pin in VERDICT_STREAM_PINS.items():
+        n = 5 if suite == "lattice-laws" else 3
+        h = hashlib.sha256()
+        for inst, ok, detail in labcli._suite_cases(SuiteSpec(suite, n), fault):
+            h.update(json.dumps([inst, ok, detail], sort_keys=True).encode())
+        assert h.hexdigest()[:16] == pin, (suite, fault)

@@ -136,12 +136,26 @@ def _hyperconvex_oracle(s, tb):
     ) == s.topology
 
 
+def _hyperconvex_fan_base_oracle(tb):
+    """The sets U minus an up-closed complement piece (U open upper, F
+    finite) form a base of the topology."""
+    q2 = tb.q2
+    cols = q2.geq
+    hx = [tb.Mup[x] & ~q2.up(tb.full ^ cols[x]) for x in range(tb.n)]
+    sub_ok = all(
+        tb.full ^ q2.up(1 << y) in tb.opens_set for y in range(tb.n)
+    )
+    return sub_ok and all(
+        all(hx[x] & ~o == 0 for x in bits(o)) for o in tb.t.opens
+    )
+
+
 def test_convexity_predicates_match_generation_oracles():
     for s in ALL_PAIRS_3:
         tb = _tables(s)
         assert ospace.is_strongly_convex(tb) == _strongly_convex_oracle(s, tb)
         assert ospace.is_hyperconvex(tb) == _hyperconvex_oracle(s, tb)
-        assert ospace.is_hyperconvex(tb) == ospace.hyperconvex_fan_base(tb)
+        assert ospace.is_hyperconvex(tb) == _hyperconvex_fan_base_oracle(tb)
 
 
 # ---------------------------------------------------------------- stability
@@ -193,6 +207,22 @@ def test_neighborhood_bases_match_full_scans():
             lambda w, x, tb=tb: ospace._is_fan(tb, w),
         ):
             assert ospace._neighborhood_base(tb, pred) == _base_oracle(tb, pred)
+
+
+def test_space_neighborhood_bases_match_full_scans():
+    # the predicates of the locally-supercompact profile, on spaces ordered
+    # by their specialization
+    for n in range(1, 5):
+        for opens in topologies(n):
+            s = Topology(n, opens)
+            tb = ospace.space_tables(s)
+            for pred in (
+                lambda w, x: td.compactness(s, w, "supercompact"),
+                lambda w, x: td.compactness(s, w, "hypercompact"),
+                lambda w, x: td.compactness(s, w, "compact"),
+                lambda w, x, tb=tb: ospace._is_filtered_set(tb, w),
+            ):
+                assert ospace._neighborhood_base(tb, pred) == _base_oracle(tb, pred)
 
 
 def test_web_profile_worked_examples():
