@@ -23,6 +23,7 @@ from .finstruct import (
     mask_of,
     transpose,
     unbounded_pair,
+    unions_of,
     validate_topology,
 )
 
@@ -58,11 +59,9 @@ class CQuasiOrder:
 
 
 def interior_relation(s: Topology) -> BinaryRelation:
-    """x R y iff y lies in the interior of the core (saturation) of x."""
-    q = td.specialization(s)
-    return BinaryRelation(
-        s.n, tuple(td.interior(s, q.leq[x]) for x in range(s.n))
-    )
+    """x R y iff y lies in the interior of the core (saturation) of x; the
+    core of x is its minimal neighborhood, which is open."""
+    return BinaryRelation(s.n, s.M)
 
 
 def validate_cquasiorder(n, relation) -> CQuasiOrder:
@@ -112,10 +111,7 @@ def relation_preimage(rows, n, ymask) -> int:
 
 def topology_of(r: CQuasiOrder) -> Topology:
     """O_R: all sets YR, i.e. all unions of the point images xR."""
-    opens = {0}
-    for row in r.rel:
-        opens |= {o | row for o in opens}
-    return validate_topology(r.n, sorted(opens))
+    return validate_topology(r.n, unions_of(r.rel))
 
 
 def rounded_sets(r: CQuasiOrder):

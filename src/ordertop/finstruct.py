@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 MAX_POINTS = 16
@@ -67,6 +68,30 @@ def subsets_of(mask):
         if sub == mask:
             return
         sub = (sub - mask) & mask
+
+
+def unions_of(rows):
+    """All unions of the given masks, ascending, the empty union included.
+    A row that is already a union adds nothing, so it is skipped."""
+    out = {0}
+    for r in rows:
+        if r not in out:
+            out |= {o | r for o in out}
+    return sorted(out)
+
+
+def min_neighborhoods(n, family) -> tuple:
+    """Per point x, the intersection of the members of `family` that contain
+    x (the carrier if none does)."""
+    full = (1 << n) - 1
+    rows = []
+    for x in range(n):
+        m = full
+        for u in family:
+            if u >> x & 1:
+                m &= u
+        rows.append(m)
+    return tuple(rows)
 
 
 def unbounded_pair(rows, mask):
@@ -134,13 +159,12 @@ class Qoset:
         )
 
     def upper_sets(self):
-        """All upper sets as masks, ascending."""
-        full = (1 << self.n) - 1
-        return [m for m in range(full + 1) if self.up(m) == m]
+        """All upper sets as masks, ascending: the unions of the principal
+        filters."""
+        return unions_of(self.leq)
 
     def lower_sets(self):
-        full = (1 << self.n) - 1
-        return [m for m in range(full + 1) if self.down(m) == m]
+        return unions_of(self.geq)
 
     def matrix(self):
         return [[self.leq[x] >> y & 1 for y in range(self.n)] for x in range(self.n)]
@@ -148,7 +172,11 @@ class Qoset:
 
 @dataclass(frozen=True)
 class Topology:
-    """Explicit open-set family; opens are masks sorted ascending."""
+    """Explicit open-set family; opens are masks sorted ascending.
+
+    A finite topology is Alexandroff: M[x], the least open set around x, is
+    its canonical form.  The opens are exactly the unions of M rows, and the
+    specialization, interiors and saturations are all read off M."""
 
     n: int
     opens: tuple
@@ -157,25 +185,17 @@ class Topology:
     def full(self) -> int:
         return (1 << self.n) - 1
 
+    @cached_property
+    def M(self) -> tuple:
+        """Minimal open neighborhood per point."""
+        return min_neighborhoods(self.n, self.opens)
+
     def is_t0(self) -> bool:
-        return all(
-            any((u >> x & 1) != (u >> y & 1) for u in self.opens)
-            for x in range(self.n) for y in range(x + 1, self.n)
-        )
+        return len(set(self.M)) == self.n
 
     def closeds(self):
         full = self.full
         return sorted(full ^ u for u in self.opens)
-
-    def neighborhoods(self, x):
-        return [u for u in self.opens if u >> x & 1]
-
-    def min_neighborhood(self, x) -> int:
-        m = self.full
-        for u in self.opens:
-            if u >> x & 1:
-                m &= u
-        return m
 
 
 @dataclass(frozen=True)
@@ -298,7 +318,11 @@ def validate_topology(n, family) -> Topology:
     """Canonicalize a family of point-set masks into a Topology.
 
     The family must contain the empty set and the carrier and be closed under
-    pairwise union and intersection (sufficient on a finite carrier).
+    pairwise union and intersection (sufficient on a finite carrier).  Every
+    member is the union of the meets M[x] of the members around its points,
+    so the family is a topology iff each partial meet on the way to each M[x]
+    is a member and so is every union of M rows: O(|family| * n) steps.  A
+    witness is a pair of members whose meet or join is missing.
     """
     check_carrier(n)
     full = (1 << n) - 1
@@ -315,12 +339,26 @@ def validate_topology(n, family) -> Topology:
     if full not in seen:
         raise ValidationError("MissingFull")
     ordered = sorted(seen)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            if a | b not in seen:
-                raise ValidationError("NotUnionClosed", (a, b))
-            if a & b not in seen:
-                raise ValidationError("NotIntersectionClosed", (a, b))
+    rows = []
+    for x in range(n):
+        m = full
+        for u in ordered:
+            if u >> x & 1:
+                if m & u not in seen:
+                    raise ValidationError("NotIntersectionClosed", (m, u))
+                m &= u
+        rows.append(m)
+    for u in unions_of(rows):
+        if u not in seen:
+            # u is the least missing union, so smaller unions are members.
+            # Split u into a largest row a = M[x] and the rows of the points
+            # outside a: none of those contains x (it would contain a and be
+            # larger), so their join b is a smaller union.
+            a = max((rows[x] for x in bits(u)), key=popcount)
+            b = 0
+            for y in bits(u & ~a):
+                b |= rows[y]
+            raise ValidationError("NotUnionClosed", (min(a, b), max(a, b)))
     return Topology(n, tuple(ordered))
 
 
@@ -386,21 +424,14 @@ def qoset_from_rows(n, rows) -> Qoset:
 
 
 def generate_topology(n, subbase) -> Topology:
-    """Smallest topology containing the given subbase of masks."""
+    """Smallest topology containing the given subbase of masks: the unions of
+    its minimal neighborhoods, each the meet of the members around a point."""
     check_carrier(n)
     full = (1 << n) - 1
     for m in subbase:
         if not 0 <= m <= full:
             raise ValidationError("NotASubset", (m,))
-    # finite intersections of subbase members form a base (X = empty
-    # intersection), then the opens are all unions of base members
-    base = {full}
-    for m in dict.fromkeys(subbase):
-        base |= {m & b for b in base}
-    opens = {0}
-    for b in base:
-        opens |= {o | b for o in opens}
-    return Topology(n, tuple(sorted(opens)))
+    return Topology(n, tuple(unions_of(min_neighborhoods(n, subbase))))
 
 
 # ------------------------------------------------------------- isomorphism

@@ -29,6 +29,7 @@ from .finstruct import (
     bits,
     decode,
     encode,
+    generate_topology,
     mask_of,
     parse_json,
     point_masks,
@@ -143,27 +144,12 @@ def qosets(n):
 def topologies(n):
     """All topologies on n labeled points by direct search over the lattice of
     point-set masks: masks are decided in ascending order, and adding one
-    closes the family under union and intersection (pruning on any decision
-    conflict)."""
+    replaces the family by the topology it generates together with the mask
+    (pruning on any decision conflict)."""
     if n == 0:
         return [(0,)]
     full = (1 << n) - 1
     results = []
-
-    def close(family, m):
-        added = {m}
-        frontier = [m]
-        fam = set(family) | added
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(fam):
-                    for c in (a | b, a & b):
-                        if c not in fam:
-                            fam.add(c)
-                            nxt.append(c)
-            frontier = nxt
-        return fam
 
     def search(m, family, forbidden):
         if m == full:
@@ -171,7 +157,7 @@ def topologies(n):
             return
         search(m + 1, family, forbidden | {m} if m not in family else forbidden)
         if m not in family:
-            fam = close(family, m)
+            fam = set(generate_topology(n, [*family, m]).opens)
             if not fam & forbidden:
                 search(m + 1, fam, forbidden)
 
@@ -337,12 +323,11 @@ def _suite_cases(spec: SuiteSpec, fault=None):
             yield encode(s), ok, None
     elif s_id in ("thm-4.6", "thm-5.3"):
         tops = enumerate_instances("topology", n)
-        tables = [ospace.interior_table_of(t) for t in tops]
         orders = posets(n)
-        for ti, t in enumerate(tops):
+        for t in tops:
             for rows in orders:
                 sp = OrderedSpace(Qoset(n, rows), t)
-                tb = ospace.Tables(sp, tables[ti])
+                tb = ospace.Tables(sp)
                 if s_id == "thm-4.6":
                     vec = ospace.thm_4_6_sides(tb)
                     if fault == "sector-no-separation":
@@ -378,11 +363,12 @@ def _suite_cases(spec: SuiteSpec, fault=None):
                 vec = ospace.thm_6_2_sides(ospace.Tables(sp))
                 yield encode(sp), vec[3] == vec[4], [vec[3], vec[4]]
     elif s_id == "thm-7.2":
+        tops = [Topology(n, opens) for opens in topologies(n)]
         for rows in _meet_posets(n):
             q = Qoset(n, rows)
             meet = ospace.meet_table(q)
-            for opens in topologies(n):
-                sp = OrderedSpace(q, Topology(n, opens))
+            for t in tops:
+                sp = OrderedSpace(q, t)
                 tb = ospace.Tables(sp)
                 if not (ospace.is_hyperconvex(tb) and ospace.is_semi_qospace(tb)):
                     continue
@@ -392,10 +378,11 @@ def _suite_cases(spec: SuiteSpec, fault=None):
                 )
                 yield encode(sp), ok, list(vec)
     elif s_id == "prop-7.4":
+        tops = [Topology(n, opens) for opens in topologies(n)]
         for rows in _meet_posets(n):
             q = Qoset(n, rows)
-            for opens in topologies(n):
-                sp = OrderedSpace(q, Topology(n, opens))
+            for t in tops:
+                sp = OrderedSpace(q, t)
                 vec = ospace.prop_7_4_sides(ospace.Tables(sp))
                 yield encode(sp), len(set(vec)) == 1, list(vec)
     elif s_id == "thm-8.4":

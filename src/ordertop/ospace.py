@@ -2,15 +2,16 @@
 sector / fan structure, mc-orderedness, semilattice-ordered classes, and
 theorem-level equivalence bundles.
 
-Neighborhood-base predicates are quantified over subsets of the minimal open
-neighborhood of each point: on a finite carrier a base of P-sets exists at x
-iff one exists inside the minimal open neighborhood of x.
+Every finite space is Alexandroff: each point x has a least open
+neighborhood M[x] (`Topology.M`), and the only neighborhood of x inside M[x]
+is M[x] itself.  So a neighborhood base of P-sets exists at x iff M[x] is a
+P-set.
 
-Generation identities ("the topology is generated by ...") are decided by the
-base criterion: the generated topology consists of all unions of finite
-intersections of subbase members, so equality with the ambient topology holds
-iff every subbase member is open and every point of every open set sits in a
-basic set inside it; minimal basic neighborhoods are the optimal witnesses.
+A finite topology is the family of unions of its M rows, so two topologies on
+one carrier are equal iff their M rows agree.  The topology generated by a
+subbase has as M[x] the meet of the members around x, so a generation
+identity ("the topology is generated by ...") holds iff those meets are the M
+rows of the ambient topology.
 """
 
 from __future__ import annotations
@@ -25,38 +26,31 @@ from .finstruct import (
     Topology,
     ValidationError,
     bits,
-    generate_topology,
     is_directed,
+    min_neighborhoods,
     subsets_of,
     transpose,
+    unions_of,
 )
 
 
 # ---------------------------------------------------------------- tables
 
 class Tables:
-    """Per-space caches shared by the predicate evaluations.  A precomputed
-    interior table (indexed by point-set mask) may be supplied when sweeping
-    many qosets against one topology; otherwise it is built on first use."""
+    """Per-space caches shared by the predicate evaluations."""
 
-    def __init__(self, space: OrderedSpace, interior_table=None):
+    def __init__(self, space: OrderedSpace):
         self.space = space
         self.q = space.qoset
         self.t = space.topology
         self.n = space.n
         self.full = self.t.full
         self.opens_set = set(self.t.opens)
-        if interior_table is not None:
-            self.int_of = interior_table
+        self.M = self.t.M  # shared by every ordering of one topology
 
     @cached_property
     def int_of(self):
         return interior_table_of(self.t)
-
-    @cached_property
-    def M(self):
-        """Minimal open neighborhood per point."""
-        return tuple(self.t.min_neighborhood(x) for x in range(self.n))
 
     @cached_property
     def upper_opens(self):
@@ -77,26 +71,13 @@ class Tables:
     @cached_property
     def Mup(self):
         """Minimal open upper neighborhood per point (the specialization row
-        of the upper space)."""
-        out = []
-        for x in range(self.n):
-            m = self.full
-            for u in self.upper_opens:
-                if u >> x & 1:
-                    m &= u
-            out.append(m)
-        return tuple(out)
+        of the upper space); read off the upper opens, since most spaces
+        need no upper-space Topology."""
+        return min_neighborhoods(self.n, self.upper_opens)
 
     @cached_property
     def Mdown(self):
-        out = []
-        for x in range(self.n):
-            m = self.full
-            for u in self.lower_opens:
-                if u >> x & 1:
-                    m &= u
-            out.append(m)
-        return tuple(out)
+        return min_neighborhoods(self.n, self.lower_opens)
 
     @cached_property
     def q2(self) -> Qoset:
@@ -162,7 +143,7 @@ class Tables:
     @cached_property
     def upper_tables(self) -> "Tables":
         """Tables of the upper space, ordered by its specialization q2."""
-        return Tables(OrderedSpace(self.q2, self.upper_space), self.int_upper_of)
+        return Tables(OrderedSpace(self.q2, self.upper_space))
 
     @cached_property
     def upsilon_dual(self) -> Topology:
@@ -188,12 +169,13 @@ def space_tables(s: Topology) -> Tables:
 
 
 def interior_table_of(t: Topology):
-    """Interior of every point-set mask, as a list indexed by mask."""
-    table = [0] * (t.full + 1)
-    for u in t.opens:
-        for m in range(t.full + 1):
-            if u & ~m == 0:
-                table[m] |= u
+    """Interior of every point-set mask, as a list indexed by mask: the union
+    of the minimal neighborhoods inside it."""
+    full = t.full
+    table = [0] * (full + 1)
+    for row in set(t.M):
+        for rest in subsets_of(full ^ row):
+            table[rest | row] |= row
     return table
 
 
@@ -261,16 +243,13 @@ def is_t2_ordered(tb: Tables) -> bool:
 
 def is_upper_regular(tb: Tables) -> bool:
     """Every open upper set around a point contains a closed upper set that
-    in turn contains an open upper neighborhood."""
-    return all(
-        all(tb.hM_upper[x] & ~o == 0 for x in bits(o)) for o in tb.upper_opens
-    )
+    in turn contains an open upper neighborhood; the least open upper set
+    Mup[x] is the one to test."""
+    return all(h & ~u == 0 for h, u in zip(tb.hM_upper, tb.Mup))
 
 
 def is_lower_regular(tb: Tables) -> bool:
-    return all(
-        all(tb.hM_lower[x] & ~o == 0 for x in bits(o)) for o in tb.lower_opens
-    )
+    return all(h & ~d == 0 for h, d in zip(tb.hM_lower, tb.Mdown))
 
 
 def separation_profile(t: OrderedSpace, tables: Tables = None) -> SeparationProfile:
@@ -305,33 +284,20 @@ class ConvexityProfile:
 
 
 def is_locally_convex(tb: Tables) -> bool:
-    """The convex open sets form a base."""
+    """The convex open sets form a base: every M[x] is convex."""
     q = tb.q
-    convex_opens = [c for c in tb.t.opens if q.up(c) & q.down(c) == c]
-    for o in tb.t.opens:
-        for x in bits(o):
-            if not any(c >> x & 1 and c & ~o == 0 for c in convex_opens):
-                return False
-    return True
+    return all(q.up(m) & q.down(m) == m for m in tb.M)
 
 
 def is_strongly_convex(tb: Tables) -> bool:
     """The topology is generated by the open upper and open lower sets."""
-    return all(
-        all(tb.Mup[x] & tb.Mdown[x] & ~o == 0 for x in bits(o))
-        for o in tb.t.opens
-    )
+    return all(u & d == m for u, d, m in zip(tb.Mup, tb.Mdown, tb.M))
 
 
 def _cotopology_convex(tb: Tables, cotop: Topology) -> bool:
-    """Generation test for the upper opens joined with a cotopology."""
-    if any(v not in tb.opens_set for v in cotop.opens):
-        return False
-    minv = tuple(cotop.min_neighborhood(x) for x in range(tb.n))
-    return all(
-        all(tb.Mup[x] & minv[x] & ~o == 0 for x in bits(o))
-        for o in tb.t.opens
-    )
+    """The topology is generated by the open upper sets together with the
+    cotopology (which is then contained in it)."""
+    return all(u & c == m for u, c, m in zip(tb.Mup, cotop.M, tb.M))
 
 
 def is_hyperconvex(tb: Tables) -> bool:
@@ -409,8 +375,9 @@ def _family_stable(tb: Tables, family) -> bool:
 
 
 def vee_family(q: Qoset):
-    """Finite unions of principal filters (including the empty union)."""
-    return sorted({q.up(f) for f in range(1 << q.n)})
+    """Finite unions of principal filters (including the empty union): the
+    upper sets."""
+    return q.upper_sets()
 
 
 def wedge_family(q: Qoset):
@@ -428,11 +395,7 @@ def wedge_family(q: Qoset):
 def diamond_family(q: Qoset):
     """Sublattice of upper sets generated by the principal filters together
     with the empty set and the whole set: unions of finite intersections."""
-    wedges = wedge_family(q)
-    out = {0}
-    for w in wedges:
-        out |= {m | w for m in out}
-    return sorted(out)
+    return unions_of(wedge_family(q))
 
 
 def is_vee_stable(tb: Tables) -> bool:
@@ -473,15 +436,9 @@ class WebProfile:
 
 
 def _neighborhood_base(tb: Tables, pred) -> bool:
-    """Every point x has a neighborhood base of sets w with pred(w, x);
-    quantified over subsets of the minimal open neighborhood M[x]."""
-    for x in range(tb.n):
-        if not any(
-            tb.int_of[w] >> x & 1 and pred(w, x)
-            for w in subsets_of(tb.M[x])
-        ):
-            return False
-    return True
+    """Every point x has a neighborhood base of sets w with pred(w, x); the
+    only neighborhood of x inside M[x] is M[x], so it decides."""
+    return all(pred(m, x) for x, m in enumerate(tb.M))
 
 
 def _is_web_around(tb: Tables, w, x) -> bool:
@@ -572,22 +529,14 @@ def is_fan_space(tb: Tables) -> bool:
 
 
 def is_mc_ordered(tb: Tables) -> bool:
-    """Every directed subset has a supremum to which it converges as a net."""
+    """Every directed subset has a supremum to which it converges as a net:
+    the net is eventually inside M[lub], hence inside every open around lub."""
     q = tb.q
     for d in tb.directed:
         lubm = td.least_upper_bounds(q, d)
-        if not lubm:
-            return False
-        converges = False
-        for lub in bits(lubm):
-            if all(
-                not (o >> lub & 1)
-                or any(q.leq[e] & d & ~o == 0 for e in bits(d))
-                for o in tb.t.opens
-            ):
-                converges = True
-                break
-        if not converges:
+        if not any(
+            q.leq[e] & d & ~tb.M[lub] == 0 for lub in bits(lubm) for e in bits(d)
+        ):
             return False
     return True
 
@@ -642,7 +591,7 @@ def is_meet_continuous_domain(q: Qoset) -> bool:
 
 
 def is_t2_space(t: Topology) -> bool:
-    mins = [t.min_neighborhood(x) for x in range(t.n)]
+    mins = t.M
     return all(
         not (mins[x] & mins[y])
         for x in range(t.n) for y in range(t.n) if x != y
@@ -728,13 +677,10 @@ def thm_7_2_sides(tb: Tables, meet):
 
 def _is_weak_patch_of(tb: Tables, upper_pred) -> bool:
     """The space equals the weak patch of its upper space, and that upper
-    space satisfies upper_pred."""
-    if tb.space.qoset.leq != tb.Mup:
-        return False
-    patched = generate_topology(
-        tb.n, list(tb.upper_opens) + list(tb.upsilon_dual.opens)
-    )
-    return patched == tb.t and upper_pred(tb)
+    space satisfies upper_pred.  The weak patch is ordered by the upper
+    space's specialization and generated by its opens and the upsilon-dual
+    cotopology, i.e. the space is hyperconvex."""
+    return tb.q.leq == tb.Mup and is_hyperconvex(tb) and upper_pred(tb)
 
 
 def _upper_is_core(tb: Tables) -> bool:
@@ -855,19 +801,17 @@ def is_semitopological(tb: Tables, meet) -> bool:
 
 def is_topological(tb: Tables, meet) -> bool:
     """The binary meet operation is continuous w.r.t. the product topology:
-    every pair with meet in an open set has an open rectangle around it whose
-    meet-image stays inside; minimal neighborhoods are optimal witnesses."""
+    every pair has an open rectangle around it whose meet-image stays inside
+    M[u meet v]; the rectangle M[u] x M[v] is the optimal witness."""
     n = tb.n
-    for o in tb.t.opens:
-        for u in range(n):
-            for v in range(n):
-                if o >> meet[u][v] & 1:
-                    img = 0
-                    for a in bits(tb.M[u]):
-                        for b in bits(tb.M[v]):
-                            img |= 1 << meet[a][b]
-                    if img & ~o:
-                        return False
+    for u in range(n):
+        for v in range(n):
+            img = 0
+            for a in bits(tb.M[u]):
+                for b in bits(tb.M[v]):
+                    img |= 1 << meet[a][b]
+            if img & ~tb.M[meet[u][v]]:
+                return False
     return True
 
 

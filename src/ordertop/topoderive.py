@@ -28,16 +28,8 @@ COSELECTIONS = ("upsilon", "sigma", "alpha")
 # ----------------------------------------------------------- specialization
 
 def specialization(t: Topology) -> Qoset:
-    """x <= y iff every open containing x contains y."""
-    full = t.full
-    rows = []
-    for x in range(t.n):
-        m = full
-        for u in t.opens:
-            if u >> x & 1:
-                m &= u
-        rows.append(m)
-    return Qoset(t.n, tuple(rows))
+    """x <= y iff every open containing x contains y: the rows are M."""
+    return Qoset(t.n, t.M)
 
 
 def directed_subsets(q: Qoset):
@@ -134,10 +126,12 @@ def down_closure(q: Qoset, mask) -> int:
 
 
 def interior(t: Topology, mask) -> int:
+    """Union of the minimal neighborhoods inside the mask."""
+    rows = t.M
     m = 0
-    for u in t.opens:
-        if u & ~mask == 0:
-            m |= u
+    for x in bits(mask):
+        if rows[x] & ~mask == 0:
+            m |= rows[x]
     return m
 
 
@@ -146,11 +140,11 @@ def closure(t: Topology, mask) -> int:
 
 
 def saturation(t: Topology, mask) -> int:
-    """Intersection of all open neighborhoods."""
-    m = t.full
-    for u in t.opens:
-        if mask & ~u == 0:
-            m &= u
+    """Intersection of all open neighborhoods: the union of the minimal
+    neighborhoods of the points."""
+    m = 0
+    for x in bits(mask):
+        m |= t.M[x]
     return m
 
 
@@ -189,16 +183,10 @@ def compactness(t: Topology, c, kind: str) -> bool:
         # of c is its own finite subcover
         return True
     if kind == "supercompact":
-        # a cover without a member containing c exists iff the opens that do
-        # not contain c already cover c; the empty set is covered by the
-        # empty family, so it is never supercompact
-        if c == 0:
-            return False
-        u = 0
-        for o in t.opens:
-            if c & ~o:
-                u |= o
-        return bool(c & ~u)
+        # every open cover of c has a member containing c iff some point of
+        # c has all of c in its minimal neighborhood; the empty set is
+        # covered by the empty family, so it is never supercompact
+        return any(c & ~t.M[x] == 0 for x in bits(c))
     if kind == "hypercompact":
         sat = saturation(t, c)
         q = specialization(t)
@@ -273,17 +261,12 @@ class EntourageBase:
                     raise ValidationError("NotReflexive", (x,))
 
 
-def _interior_relation_rows(s: Topology):
-    q = specialization(s)
-    return tuple(interior(s, q.leq[x]) for x in range(s.n))
-
-
 def quasi_uniformity(s: Topology) -> EntourageBase:
     """Coarsest quasi-uniformity inducing s, generated by the entourages
     x'R -> y'R over pairs with y' R x' (R the interior relation)."""
     n = s.n
     full = (1 << n) - 1
-    rrows = _interior_relation_rows(s)
+    rrows = s.M  # the interior relation: the core of x is open
     gens = set()
     for xp in range(n):
         for yp in range(n):

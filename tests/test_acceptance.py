@@ -8,6 +8,8 @@ from ordertop.finstruct import (
     OrderedSpace,
     Qoset,
     Topology,
+    decode,
+    encode,
     validate_lattice,
 )
 from ordertop.labcli import (
@@ -187,3 +189,28 @@ def test_criterion_11_determinism_and_partitioning():
     _verdict(11, ok, f"fault run reproducible across workers "
                      f"({a.failures} seeded failures, identical first "
                      f"counterexample and report hash)")
+
+
+def test_criterion_12_derivations_on_16_points():
+    n = 16
+    full = (1 << n) - 1
+    antichain = Qoset(n, tuple(1 << x for x in range(n)))
+    chain = Qoset(n, tuple(full & ~((1 << x) - 1) for x in range(n)))
+    discrete = Topology(n, tuple(range(full + 1)))
+    record = encode(discrete)
+    calls = [
+        ("lawson(antichain)", lambda: td.lawson_topology(antichain)),
+        ("lawson(chain)", lambda: td.lawson_topology(chain)),
+        ("patch(discrete, upsilon)", lambda: td.patch(discrete, "upsilon").topology),
+        ("decode(discrete)", lambda: decode(record)),
+    ]
+    ok = True
+    timings = []
+    for name, call in calls:
+        start = time.monotonic()
+        result = call()
+        elapsed = time.monotonic() - start
+        # each of these 16-point spaces is discrete: 65,536 opens
+        ok = ok and result == discrete and elapsed < 5.0
+        timings.append(f"{name} {elapsed:.2f}s")
+    _verdict(12, ok, f"{', '.join(timings)} (budget 5s per call)")

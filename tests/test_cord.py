@@ -252,3 +252,23 @@ def test_cardinal_invariants_equal_specialization_class_count():
     for s in ALL_TOPS_3:
         classes = len(set(td.specialization(s).leq))
         assert all(v == classes for v in cord.cardinal_invariants(s).values)
+
+
+# ---------------------------------------------------------------- M oracle
+
+def _interior_relation_scan(s):
+    """x R y iff y lies in the union of the opens inside the core of x."""
+    q = td.specialization(s)
+    rows = []
+    for x in range(s.n):
+        m = 0
+        for u in s.opens:
+            if u & ~q.leq[x] == 0:
+                m |= u
+        rows.append(m)
+    return tuple(rows)
+
+
+def test_interior_relation_matches_interior_of_core_scan():
+    for s in ALL_TOPS_TO_4:
+        assert cord.interior_relation(s).rel == _interior_relation_scan(s)

@@ -133,8 +133,7 @@ def test_topology_accessors():
     assert SIER.full == 3
     assert SIER.is_t0()
     assert tuple(SIER.closeds()) == (0, 1, 3)
-    assert SIER.min_neighborhood(0) == 3
-    assert SIER.min_neighborhood(1) == 2
+    assert SIER.M == (3, 2)
     assert not Topology(2, (0, 3)).is_t0()
 
 
@@ -236,3 +235,159 @@ def test_generated_families_are_topologies(t):
 @given(random_topology())
 def test_codec_roundtrip_random(t):
     assert decode(encode(t)) == t
+
+
+# ---------------------------------------------------------------- oracles
+#
+# Generation and validation read a finite topology off its minimal
+# neighborhoods; the closure scans they replaced are kept here as oracles.
+
+def _generate_topology_oracle(n, subbase):
+    """Finite intersections of subbase members form a base (the carrier is
+    the empty intersection); the opens are all unions of base members."""
+    full = (1 << n) - 1
+    base = {full}
+    for m in dict.fromkeys(subbase):
+        base |= {m & b for b in base}
+    opens = {0}
+    for b in base:
+        opens |= {o | b for o in opens}
+    return Topology(n, tuple(sorted(opens)))
+
+
+def _validate_topology_oracle(n, family):
+    """Pairwise scan: the error code of the first failing clause (pairs in
+    lexicographic order), or None when the family is a topology."""
+    full = (1 << n) - 1
+    fam = list(family)
+    if len(set(fam)) != len(fam):
+        return "Duplicate"
+    if 0 not in fam:
+        return "MissingEmpty"
+    if full not in fam:
+        return "MissingFull"
+    ordered = sorted(fam)
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1:]:
+            if a | b not in fam:
+                return "NotUnionClosed"
+            if a & b not in fam:
+                return "NotIntersectionClosed"
+    return None
+
+
+def _validation_code(n, family):
+    try:
+        validate_topology(n, family)
+    except ValidationError as err:
+        return err.code
+    return None
+
+
+def _all_families(n):
+    full = (1 << n) - 1
+    for sel in range(1 << (full + 1)):
+        yield [m for m in range(full + 1) if sel >> m & 1]
+
+
+def test_generation_matches_closure_oracle_on_every_small_family():
+    for n in range(1, 4):
+        for family in _all_families(n):
+            assert generate_topology(n, family) == _generate_topology_oracle(n, family)
+
+
+def test_validation_matches_pair_scan_on_every_small_family():
+    accepted = 0
+    for n in range(1, 4):
+        for family in _all_families(n):
+            want = _validate_topology_oracle(n, family)
+            got = _validation_code(n, family)
+            # a family breaking both closure laws may report either one
+            assert (got is None) == (want is None)
+            assert (got in ("NotUnionClosed", "NotIntersectionClosed")) == \
+                (want in ("NotUnionClosed", "NotIntersectionClosed"))
+            accepted += got is None
+    assert accepted == 1 + 4 + 29
+
+
+@st.composite
+def random_subbase(draw, max_n=6):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    full = (1 << n) - 1
+    k = draw(st.integers(min_value=0, max_value=8))
+    return n, [draw(st.integers(min_value=0, max_value=full)) for _ in range(k)]
+
+
+@given(random_subbase())
+def test_generation_matches_closure_oracle(case):
+    n, subbase = case
+    assert generate_topology(n, subbase) == _generate_topology_oracle(n, subbase)
+
+
+@st.composite
+def random_family(draw, max_n=6):
+    """A generated topology, perturbed by dropping and adding a few masks, so
+    that both topologies and near misses are drawn."""
+    n, subbase = draw(random_subbase(max_n))
+    full = (1 << n) - 1
+    fam = set(generate_topology(n, subbase).opens)
+    for m in draw(st.lists(st.integers(min_value=0, max_value=full), max_size=3)):
+        fam.discard(m)
+    for m in draw(st.lists(st.integers(min_value=0, max_value=full), max_size=3)):
+        fam.add(m)
+    return n, sorted(fam)
+
+
+@given(random_family())
+def test_validation_matches_pair_scan(case):
+    n, family = case
+    want = _validate_topology_oracle(n, family)
+    got = _validation_code(n, family)
+    assert (got is None) == (want is None)
+    if want in ("MissingEmpty", "MissingFull"):
+        assert got == want
+
+
+def _check_witness(n, family):
+    """The validation code of the family, after checking that a closure
+    witness is a pair of members whose meet or join is missing."""
+    try:
+        validate_topology(n, family)
+    except ValidationError as err:
+        members = set(family)
+        if err.code in ("NotIntersectionClosed", "NotUnionClosed"):
+            a, b = err.witness
+            joined = a & b if err.code == "NotIntersectionClosed" else a | b
+            assert a in members and b in members and joined not in members
+        else:
+            assert err.code in ("MissingEmpty", "MissingFull")
+        return err.code
+    return None
+
+
+def test_validation_witnesses_on_every_small_family():
+    codes = {_check_witness(n, f) for n in range(1, 4) for f in _all_families(n)}
+    assert {"NotIntersectionClosed", "NotUnionClosed"} <= codes
+
+
+@given(random_family())
+def test_validation_witness_is_a_pair_of_members_with_missing_meet_or_join(case):
+    _check_witness(*case)
+
+
+def test_minimal_neighborhoods_and_t0_match_open_scans():
+    for n in range(1, 4):
+        for family in _all_families(n):
+            if _validate_topology_oracle(n, family) is not None:
+                continue
+            t = Topology(n, tuple(family))
+            for x in range(n):
+                m = t.full
+                for u in t.opens:
+                    if u >> x & 1:
+                        m &= u
+                assert t.M[x] == m
+            assert t.is_t0() == all(
+                any((u >> x & 1) != (u >> y & 1) for u in t.opens)
+                for x in range(n) for y in range(x + 1, n)
+            )

@@ -7,7 +7,14 @@ import json
 import pytest
 
 from ordertop import labcli, latid
-from ordertop.finstruct import OrderedSpace, Qoset, Topology, ValidationError, encode
+from ordertop.finstruct import (
+    OrderedSpace,
+    Qoset,
+    Topology,
+    ValidationError,
+    encode,
+    generate_topology,
+)
 from ordertop.labcli import (
     FAULTS,
     HypothesisSpec,
@@ -31,6 +38,32 @@ def test_poset_counts():
 def test_qoset_and_topology_counts_agree():
     assert [len(labcli.qosets(n)) for n in range(5)] == [1, 1, 4, 29, 355]
     assert [len(labcli.topologies(n)) for n in range(5)] == [1, 1, 4, 29, 355]
+
+
+def _close_oracle(family, m):
+    """Frontier closure of a family plus one mask under pairwise union and
+    intersection."""
+    fam = set(family) | {m}
+    frontier = [m]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(fam):
+                for c in (a | b, a & b):
+                    if c not in fam:
+                        fam.add(c)
+                        nxt.append(c)
+        frontier = nxt
+    return fam
+
+
+def test_topology_search_step_matches_frontier_closure():
+    # the enumerator extends a topology by one mask through generate_topology
+    for n in range(1, 5):
+        for opens in labcli.topologies(n):
+            for m in range(1 << n):
+                assert set(generate_topology(n, [*opens, m]).opens) == \
+                    _close_oracle(opens, m)
 
 
 def test_t0_topology_count_equals_poset_count():

@@ -5,6 +5,7 @@ The production predicates shortcut through minimal neighborhoods; here they
 are replayed against direct full-quantifier scans on small carriers."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ordertop import ospace, topoderive as td
 from ordertop.finstruct import (
@@ -32,6 +33,12 @@ ALL_PAIRS_3 = [
     OrderedSpace(Qoset(3, rows), Topology(3, opens))
     for rows in qosets(3)
     for opens in topologies(3)
+]
+ALL_PAIRS_TO_3 = [
+    OrderedSpace(Qoset(n, rows), Topology(n, opens))
+    for n in range(1, 4)
+    for rows in qosets(n)
+    for opens in topologies(n)
 ]
 
 
@@ -357,3 +364,169 @@ def test_bundle_errors():
     with pytest.raises(ValidationError) as err:
         ospace.theorem_bundle(ANTI3_PAIR, "thm-7.2")
     assert err.value.code == "NotASemilattice"
+
+
+# ---------------------------------------------------------------- M oracles
+#
+# The production predicates read everything off the minimal neighborhoods
+# M[x]; the per-open scans they replaced are kept here as oracles.
+
+def _min_scan(n, opens):
+    out = []
+    for x in range(n):
+        m = (1 << n) - 1
+        for u in opens:
+            if u >> x & 1:
+                m &= u
+        out.append(m)
+    return out
+
+
+def _locally_convex_scan(tb):
+    q = tb.q
+    convex_opens = [c for c in tb.t.opens if q.up(c) & q.down(c) == c]
+    return all(
+        any(c >> x & 1 and c & ~o == 0 for c in convex_opens)
+        for o in tb.t.opens for x in bits(o)
+    )
+
+
+def _strongly_convex_scan(tb):
+    mup = _min_scan(tb.n, tb.upper_opens)
+    mdown = _min_scan(tb.n, tb.lower_opens)
+    return all(
+        mup[x] & mdown[x] & ~o == 0 for o in tb.t.opens for x in bits(o)
+    )
+
+
+def _cotopology_convex_scan(tb, cotop):
+    if any(v not in tb.opens_set for v in cotop.opens):
+        return False
+    mup = _min_scan(tb.n, tb.upper_opens)
+    minv = _min_scan(tb.n, cotop.opens)
+    return all(
+        mup[x] & minv[x] & ~o == 0 for o in tb.t.opens for x in bits(o)
+    )
+
+
+def _regular_scan(tb, opens, closeds):
+    """Every open o of the family around x contains the least closed set of
+    the family around the least open of the family around x."""
+    mins = _min_scan(tb.n, opens)
+    hull = []
+    for x in range(tb.n):
+        m = tb.full
+        for b in closeds:
+            if mins[x] & ~b == 0:
+                m &= b
+        hull.append(m)
+    return all(hull[x] & ~o == 0 for o in opens for x in bits(o))
+
+
+def _weak_patch_scan(tb):
+    mup = _min_scan(tb.n, tb.upper_opens)
+    if tuple(tb.q.leq) != tuple(mup):
+        return False
+    patched = generate_topology(
+        tb.n, list(tb.upper_opens) + list(tb.upsilon_dual.opens)
+    )
+    return patched == tb.t
+
+
+def _mc_ordered_scan(tb):
+    q = tb.q
+    for d in tb.directed:
+        if not any(
+            all(
+                not o >> lub & 1
+                or any(q.leq[e] & d & ~o == 0 for e in bits(d))
+                for o in tb.t.opens
+            )
+            for lub in bits(td.least_upper_bounds(q, d))
+        ):
+            return False
+    return True
+
+
+def _topological_scan(tb, meet):
+    n = tb.n
+    for o in tb.t.opens:
+        for u in range(n):
+            for v in range(n):
+                if o >> meet[u][v] & 1:
+                    img = 0
+                    for a in bits(tb.M[u]):
+                        for b in bits(tb.M[v]):
+                            img |= 1 << meet[a][b]
+                    if img & ~o:
+                        return False
+    return True
+
+
+def _check_against_scans(s):
+    tb = _tables(s)
+    assert ospace.is_mc_ordered(tb) == _mc_ordered_scan(tb)
+    meet = ospace.meet_table(tb.q)
+    if meet is not None:
+        assert ospace.is_topological(tb, meet) == _topological_scan(tb, meet)
+    assert ospace.is_locally_convex(tb) == _locally_convex_scan(tb)
+    assert ospace.is_strongly_convex(tb) == _strongly_convex_scan(tb)
+    for zeta in ("upsilon", "sigma", "alpha"):
+        cotop = td.upset_topology(tb.q2.dual(), zeta)
+        assert ospace.is_zeta_convex(tb, zeta) == _cotopology_convex_scan(tb, cotop)
+    assert ospace.is_upper_regular(tb) == _regular_scan(
+        tb, tb.upper_opens, tb.closed_uppers
+    )
+    assert ospace.is_lower_regular(tb) == _regular_scan(
+        tb, tb.lower_opens, tb.closed_lowers
+    )
+    assert ospace._is_weak_patch_of(tb, lambda _tb: True) == _weak_patch_scan(tb)
+    for pred in (
+        lambda w, x, tb=tb: ospace._is_web_around(tb, w, x),
+        lambda w, x, tb=tb: ospace._is_sector(tb, w),
+        lambda w, x, tb=tb: ospace._is_fan(tb, w),
+    ):
+        assert ospace._neighborhood_base(tb, pred) == _base_oracle(tb, pred)
+
+
+def test_minimal_neighborhood_predicates_match_scans_on_every_small_space():
+    for s in ALL_PAIRS_TO_3:
+        _check_against_scans(s)
+
+
+@st.composite
+def random_ordered_space(draw, max_n=6):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    full = (1 << n) - 1
+    rows = [
+        draw(st.integers(min_value=0, max_value=full)) | 1 << x for x in range(n)
+    ]
+    changed = True
+    while changed:  # transitive closure
+        changed = False
+        for x in range(n):
+            grown = rows[x]
+            for y in bits(rows[x]):
+                grown |= rows[y]
+            if grown != rows[x]:
+                rows[x], changed = grown, True
+    subbase = draw(st.lists(st.integers(min_value=0, max_value=full), max_size=8))
+    return OrderedSpace(Qoset(n, tuple(rows)), generate_topology(n, subbase))
+
+
+@given(random_ordered_space())
+def test_minimal_neighborhood_predicates_match_scans(s):
+    _check_against_scans(s)
+
+
+def test_interior_table_matches_open_scan():
+    for n in range(1, 5):
+        for opens in topologies(n):
+            t = Topology(n, opens)
+            table = ospace.interior_table_of(t)
+            for m in range(t.full + 1):
+                want = 0
+                for u in opens:
+                    if u & ~m == 0:
+                        want |= u
+                assert table[m] == want

@@ -206,3 +206,37 @@ def test_induced_topologies_of_sierpinski_uniformity():
 def test_quasi_uniformity_recovers_topology_everywhere():
     for s in ALL_TOPS_3:
         assert td.tau(td.quasi_uniformity(s)) == s
+
+
+# ---------------------------------------------------------------- M oracles
+
+def _interior_scan(t, mask):
+    m = 0
+    for u in t.opens:
+        if u & ~mask == 0:
+            m |= u
+    return m
+
+
+def _saturation_scan(t, mask):
+    m = t.full
+    for u in t.opens:
+        if mask & ~u == 0:
+            m &= u
+    return m
+
+
+def test_interior_and_saturation_match_open_scans():
+    for n in range(1, 5):
+        for opens in topologies(n):
+            t = Topology(n, opens)
+            for m in range(t.full + 1):
+                assert td.interior(t, m) == _interior_scan(t, m)
+                assert td.saturation(t, m) == _saturation_scan(t, m)
+
+
+def test_alexandroff_is_the_family_of_upper_sets():
+    for n in range(1, 5):
+        for rows in qosets(n):
+            q = Qoset(n, rows)
+            assert list(td.alexandroff(q).opens) == q.upper_sets()
