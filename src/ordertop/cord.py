@@ -66,7 +66,8 @@ def interior_relation(s: Topology) -> BinaryRelation:
 
 def validate_cquasiorder(n, relation) -> CQuasiOrder:
     rows = relation.rel if isinstance(relation, BinaryRelation) else tuple(relation)
-    cols = transpose(n, rows)
+    c = CQuasiOrder(n, rows)
+    cols = c.preimages
     for y in range(n):
         if not cols[y]:
             raise ValidationError("EmptyPointPreimage", (y,))
@@ -75,9 +76,7 @@ def validate_cquasiorder(n, relation) -> CQuasiOrder:
         if comp[x] != rows[x]:
             z = next(bits(comp[x] ^ rows[x]))
             raise ValidationError("NotIdempotent", (x, z))
-    leq = tuple(
-        mask_of(y for y in range(n) if cols[x] & ~cols[y] == 0) for x in range(n)
-    )
+    leq = c.lower_qoset().leq
     for y in range(n):
         for a in bits(cols[y]):
             for b in range(n):
@@ -86,20 +85,12 @@ def validate_cquasiorder(n, relation) -> CQuasiOrder:
         pair = unbounded_pair(leq, cols[y])
         if pair:
             raise ValidationError("NotDirected", (y,) + pair)
-    return CQuasiOrder(n, rows)
+    return c
 
 
 def _compose_row(rows, x):
     m = 0
     for y in bits(rows[x]):
-        m |= rows[y]
-    return m
-
-
-def relation_image(rows, n, ymask) -> int:
-    """YR = {x : exists y in Y with y R x}."""
-    m = 0
-    for y in bits(ymask):
         m |= rows[y]
     return m
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
 
 MAX_POINTS = 16
 
@@ -128,9 +127,6 @@ class Qoset:
     n: int
     leq: tuple
 
-    def leq_pair(self, x, y) -> bool:
-        return bool(self.leq[x] >> y & 1)
-
     @property
     def geq(self):
         """Row masks of the dual order: geq[x] = {y : y <= x}."""
@@ -224,9 +220,6 @@ class Lattice:
     meet: tuple
     join: tuple
 
-    def leq_pair(self, x, y) -> bool:
-        return bool(self.leq[x] >> y & 1)
-
     @property
     def bottom(self) -> int:
         for x in range(self.n):
@@ -262,9 +255,6 @@ class Lattice:
 
     def down_mask(self, x) -> int:
         return mask_of(y for y in range(self.n) if self.leq[y] >> x & 1)
-
-    def up_mask(self, x) -> int:
-        return self.leq[x]
 
 
 Lattice.matrix = Qoset.matrix  # identical row representation
@@ -450,9 +440,70 @@ def _kind_of(obj):
     raise ValidationError("UnknownKind", (type(obj).__name__,))
 
 
-def _relation_invariant(n, rows, x):
-    cols = transpose(n, rows)
-    return (popcount(rows[x]), popcount(cols[x]))
+def relations_of(obj) -> tuple:
+    """The relation rows a structure isomorphism must preserve.  A bijection
+    maps opens onto opens iff it maps M rows onto M rows, and a lattice's
+    order determines its meets and joins; relations (including C-quasi-orders)
+    are their own rows."""
+    if isinstance(obj, Topology):
+        return (obj.M,)
+    if isinstance(obj, OrderedSpace):
+        return (obj.qoset.leq, obj.topology.M)
+    if isinstance(obj, (Qoset, Lattice)):
+        return (obj.leq,)
+    return (obj.rel,)
+
+
+def diagonal(n, mask) -> tuple:
+    """The identity relation on the points of `mask`: preserving it maps
+    `mask` onto the other structure's mask."""
+    return tuple(mask & 1 << x for x in range(n))
+
+
+def isomorphism(n, rels_a, rels_b):
+    """The lexicographically least bijection p of 0..n-1 with x R y iff
+    p(x) R' p(y) for every pair (R, R') of `rels_a` and `rels_b`, or None.
+
+    Backtracking assigns 0, 1, ... in order, each to the least unused target
+    with the same degrees (row and column counts and loop, per relation) that
+    agrees with the earlier assignments, so the first complete assignment is
+    the least witness."""
+    pairs_a = [(r, transpose(n, r)) for r in rels_a]
+    pairs_b = [(r, transpose(n, r)) for r in rels_b]
+
+    def degrees(pairs, x):
+        return tuple((r[x].bit_count(), c[x].bit_count(), r[x] >> x & 1) for r, c in pairs)
+
+    deg_a = [degrees(pairs_a, x) for x in range(n)]
+    deg_b = [degrees(pairs_b, t) for t in range(n)]
+    if sorted(deg_a) != sorted(deg_b):
+        return None
+    perm = []
+
+    def image(mask):
+        m = 0
+        for y in bits(mask):
+            m |= 1 << perm[y]
+        return m
+
+    def extend(x, used):
+        if x == n:
+            return tuple(perm)
+        prefix = (1 << x) - 1
+        want = [(image(r[x] & prefix), image(c[x] & prefix)) for r, c in pairs_a]
+        for t in range(n):
+            if used >> t & 1 or deg_b[t] != deg_a[x]:
+                continue
+            if all(r[t] & used == wr and c[t] & used == wc
+                   for (r, c), (wr, wc) in zip(pairs_b, want)):
+                perm.append(t)
+                found = extend(x + 1, used | 1 << t)
+                if found:
+                    return found
+                perm.pop()
+        return None
+
+    return extend(0, 0)
 
 
 def are_isomorphic(a, b, kind=None):
@@ -464,55 +515,10 @@ def are_isomorphic(a, b, kind=None):
     ka, kb = _kind_of(a), _kind_of(b)
     if ka != kb or (kind is not None and kind not in (ka,)):
         raise ValidationError("KindMismatch", (ka, kb))
-    na = a.qoset.n if ka == "ordered-space" else a.n
-    nb = b.qoset.n if kb == "ordered-space" else b.n
-    if na != nb:
+    if a.n != b.n:
         return False, None
-    n = na
-
-    if ka == "topology":
-        sa, sb = set(a.opens), set(b.opens)
-        if len(sa) != len(sb):
-            return False, None
-        inv_a = [sum(1 for u in sa if u >> x & 1) for x in range(n)]
-        inv_b = [sum(1 for u in sb if u >> x & 1) for x in range(n)]
-
-        def ok(perm):
-            return {mask_of(perm[x] for x in bits(u)) for u in sa} == sb
-    elif ka in ("qoset", "relation", "lattice"):
-        rows_a = a.leq if ka in ("qoset", "lattice") else a.rel
-        rows_b = b.leq if ka in ("qoset", "lattice") else b.rel
-        inv_a = [_relation_invariant(n, rows_a, x) for x in range(n)]
-        inv_b = [_relation_invariant(n, rows_b, x) for x in range(n)]
-
-        def ok(perm):
-            return all(
-                (rows_a[x] >> y & 1) == (rows_b[perm[x]] >> perm[y] & 1)
-                for x in range(n) for y in range(n)
-            )
-    else:  # ordered-space
-        rows_a, rows_b = a.qoset.leq, b.qoset.leq
-        sa, sb = set(a.topology.opens), set(b.topology.opens)
-        if len(sa) != len(sb):
-            return False, None
-        inv_a = [_relation_invariant(n, rows_a, x) + (sum(1 for u in sa if u >> x & 1),) for x in range(n)]
-        inv_b = [_relation_invariant(n, rows_b, x) + (sum(1 for u in sb if u >> x & 1),) for x in range(n)]
-
-        def ok(perm):
-            return all(
-                (rows_a[x] >> y & 1) == (rows_b[perm[x]] >> perm[y] & 1)
-                for x in range(n) for y in range(n)
-            ) and {mask_of(perm[x] for x in bits(u)) for u in sa} == sb
-
-    if sorted(inv_a) != sorted(inv_b):
-        return False, None
-    # permutations come in lexicographic order, so the first match is the
-    # least witness; all n! are scanned, the per-point invariants only skip
-    # the isomorphism test on mismatched ones
-    for perm in permutations(range(n)):
-        if all(inv_a[x] == inv_b[perm[x]] for x in range(n)) and ok(perm):
-            return True, perm
-    return False, None
+    perm = isomorphism(a.n, relations_of(a), relations_of(b))
+    return perm is not None, perm
 
 
 # ------------------------------------------------------------- serialization

@@ -459,22 +459,14 @@ def _suite_cases(spec: SuiteSpec, fault=None):
 
 
 def run_suite(spec: SuiteSpec, workers: int = 1, fault: str | None = None) -> Report:
-    """Evaluate a suite; workers are logical partitions of the enumeration
-    stream (index mod workers) whose merged result is partition-independent."""
+    """Evaluate a suite in enumeration order.  `workers` is accepted for
+    compatibility and does not change the evaluation, which runs in this
+    process."""
     if fault is not None and FAULTS.get(fault) != spec.suite:
         raise ValidationError("UnknownFault", (fault, spec.suite))
     start = time.monotonic()
-    cases = list(_suite_cases(spec, fault))
-    parts = [[] for _ in range(max(1, workers))]
-    for i, case in enumerate(cases):
-        parts[i % max(1, workers)].append((i, case))
     report = Report(spec.suite, spec.n)
-    merged = []
-    for part in parts:
-        for i, (inst, ok, detail) in part:
-            merged.append((i, inst, ok, detail))
-    merged.sort(key=lambda rec: rec[0])
-    for _i, inst, ok, detail in merged:
+    for inst, ok, detail in _suite_cases(spec, fault):
         report.instances += 1
         if ok:
             report.passes += 1
@@ -760,7 +752,9 @@ def main(argv=None):
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; the suite is evaluated "
+                        "in one process and the report does not depend on it")
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sample", type=int, default=1000)

@@ -73,20 +73,9 @@ def _inclusion_lattice(members) -> Lattice:
 
 # ------------------------------------------------------------ set families
 
-def downset_masks(q):
-    """All lower sets of a poset, ascending as masks; built by inserting
-    elements along a linear extension (avoids the 2^n scan)."""
-    order = sorted(range(q.n), key=lambda x: (q.geq[x].bit_count(), x))
-    sets = [0]
-    for x in order:
-        below = q.geq[x] ^ (1 << x)
-        sets += [m | (1 << x) for m in sets if below & ~m == 0]
-    return sorted(sets)
-
-
 def lower_set_masks(lat: Lattice):
     """All lower sets of the lattice order, ascending as masks."""
-    return downset_masks(lat.poset())
+    return lat.poset().lower_sets()
 
 
 def finitely_generated_lower_sets(lat: Lattice):
@@ -99,7 +88,7 @@ def finitely_generated_lower_sets(lat: Lattice):
 def ideal_masks(lat: Lattice):
     """Directed lower sets, ascending."""
     q = lat.poset()
-    return [d for d in downset_masks(q) if is_directed(q.leq, d)]
+    return [d for d in q.lower_sets() if is_directed(q.leq, d)]
 
 
 # ------------------------------------------------------------ law checking

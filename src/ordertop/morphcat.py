@@ -7,7 +7,6 @@ core-based sober spaces, and based completely distributive lattices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from . import cord, latid, ospace
 from . import topoderive as td
@@ -18,9 +17,12 @@ from .finstruct import (
     Topology,
     ValidationError,
     bits,
+    diagonal,
     is_directed,
+    isomorphism,
     mask_of,
     mask_to_list,
+    relations_of,
 )
 
 KINDS = (
@@ -332,41 +334,14 @@ def convert(r: Representation, target: str) -> Representation:
 
 # ---------------------------------------------------------------- equivalence
 
-def _payload_iso(kind, a, b, perm) -> bool:
-    if kind in ("c-ordered-set",):
-        return all(
-            a.rel[x] >> y & 1 == b.rel[perm[x]] >> perm[y] & 1
-            for x in range(a.n) for y in range(a.n)
-        )
-    if kind in ("t0-core-space", "core-based-sober-space"):
-        mapped = {mask_of(perm[x] for x in bits(u)) for u in a.opens}
-        return mapped == set(b.opens)
-    if kind == "fan-ordered-space":
-        mapped = {mask_of(perm[x] for x in bits(u)) for u in a.topology.opens}
-        return mapped == set(b.topology.opens) and all(
-            a.qoset.leq[x] >> y & 1 == b.qoset.leq[perm[x]] >> perm[y] & 1
-            for x in range(a.n) for y in range(a.n)
-        )
-    # orders and lattices: the order determines meets and joins
-    return all(
-        a.leq[x] >> y & 1 == b.leq[perm[x]] >> perm[y] & 1
-        for x in range(a.n) for y in range(a.n)
-    )
+def _relations(r: Representation) -> tuple:
+    rels = relations_of(r.payload)
+    return rels if r.basis is None else rels + (diagonal(r.payload.n, r.basis),)
 
 
 def are_equivalent(r1: Representation, r2: Representation) -> bool:
     """Isomorphism of representations: a carrier bijection preserving the
     payload structure and mapping basis onto basis."""
-    if r1.kind != r2.kind:
+    if r1.kind != r2.kind or r1.payload.n != r2.payload.n:
         return False
-    n1 = r1.payload.n
-    if n1 != r2.payload.n:
-        return False
-    b1 = r1.basis
-    for perm in permutations(range(n1)):
-        if b1 is not None:
-            if mask_of(perm[x] for x in bits(b1)) != r2.basis:
-                continue
-        if _payload_iso(r1.kind, r1.payload, r2.payload, perm):
-            return True
-    return False
+    return isomorphism(r1.payload.n, _relations(r1), _relations(r2)) is not None

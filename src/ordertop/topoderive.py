@@ -83,14 +83,10 @@ def weak_upper(q: Qoset) -> Topology:
 
 def scott_topology(q: Qoset) -> Topology:
     """Upper sets meeting every directed set with a least upper bound inside
-    them; computed from the definition, not the finite shortcut."""
-    dsets = directed_subsets(q)
-    lubs = [(d, least_upper_bounds(q, d)) for d in dsets]
-    opens = []
-    for u in q.upper_sets():
-        if all(d & u for d, lub in lubs if lub & u):
-            opens.append(u)
-    return Topology(q.n, tuple(sorted(opens)))
+    them.  A finite directed set contains a greatest element up to
+    equivalence, which is one of its least upper bounds, so every upper set
+    qualifies: the Scott topology is the Alexandroff topology."""
+    return alexandroff(q)
 
 
 def lawson_topology(q: Qoset) -> Topology:
@@ -116,14 +112,6 @@ def upset_topology(q: Qoset, which: str) -> Topology:
 
 
 # ----------------------------------------------------------- hulls & kernels
-
-def up_closure(q: Qoset, mask) -> int:
-    return q.up(mask)
-
-
-def down_closure(q: Qoset, mask) -> int:
-    return q.down(mask)
-
 
 def interior(t: Topology, mask) -> int:
     """Union of the minimal neighborhoods inside the mask."""

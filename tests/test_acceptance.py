@@ -148,18 +148,27 @@ def test_criterion_08_lattice_law_collapse():
                     f"{elapsed:.2f}s (budget 60s)")
 
 
+THM_8_4_N4_HASH = "7b5dffcc6ad93db9e64ad9f45520db32e6db91b9b93459222bcb9669f014a592"
+
+
 def test_criterion_09_representation_roundtrips():
     total = fails = 0
-    for n in range(1, 4):
+    for n in range(1, 5):
+        start = time.monotonic()
         report = run_suite(SuiteSpec("thm-8.4", n))
+        elapsed = time.monotonic() - start
         total += report.instances
         fails += report.failures
     pairs = sum(
         1 for a in morphcat.KINDS for b in morphcat.KINDS if a != b
     )
-    ok = fails == 0 and pairs == 30
+    ok = (
+        fails == 0 and pairs == 30
+        and report.instances == 219 and report.determinism_hash == THM_8_4_N4_HASH
+        and elapsed < 20.0
+    )
     _verdict(9, ok, f"{total} spaces through all {pairs} ordered kind pairs, "
-                    f"{fails} failures")
+                    f"{fails} failures, n=4 in {elapsed:.2f}s (budget 20s)")
 
 
 def test_criterion_10_semilattice_bundle_n4():

@@ -1,7 +1,9 @@
 """Core data structures: validation, generation, isomorphism, codec."""
 
+from itertools import permutations
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ordertop.finstruct import (
     BinaryRelation,
@@ -14,17 +16,21 @@ from ordertop.finstruct import (
     Topology,
     ValidationError,
     are_isomorphic,
+    bits,
     decode,
     encode,
     generate_topology,
     mask_of,
     mask_to_list,
+    popcount,
     qoset_from_rows,
     subsets_of,
+    transpose,
     validate_lattice,
     validate_qoset,
     validate_topology,
 )
+from ordertop.labcli import enumerate_instances, lattices
 
 SIER = Topology(2, (0, 2, 3))
 CHAIN3 = Qoset(3, (0b111, 0b110, 0b100))
@@ -391,3 +397,181 @@ def test_minimal_neighborhoods_and_t0_match_open_scans():
                 any((u >> x & 1) != (u >> y & 1) for u in t.opens)
                 for x in range(n) for y in range(x + 1, n)
             )
+
+
+# ---------------------------------------------------------------- isomorphism oracle
+#
+# The search assigns points in order and prunes by degrees and by the earlier
+# assignments; the scan over all n! permutations it replaced is the oracle.
+
+def _relation_invariant(n, rows, x):
+    cols = transpose(n, rows)
+    return (popcount(rows[x]), popcount(cols[x]))
+
+
+def _isomorphic_scan(a, b):
+    """(bool, least witness) by testing every permutation in lexicographic
+    order; opens are compared as sets, relations pair by pair."""
+    if a.n != b.n:
+        return False, None
+    n = a.n
+
+    def same_rows(rows_a, rows_b, perm):
+        return all(
+            (rows_a[x] >> y & 1) == (rows_b[perm[x]] >> perm[y] & 1)
+            for x in range(n) for y in range(n)
+        )
+
+    def same_opens(sa, sb, perm):
+        return {mask_of(perm[x] for x in bits(u)) for u in sa} == sb
+
+    if isinstance(a, Topology):
+        sa, sb = set(a.opens), set(b.opens)
+        if len(sa) != len(sb):
+            return False, None
+        inv_a = [sum(1 for u in sa if u >> x & 1) for x in range(n)]
+        inv_b = [sum(1 for u in sb if u >> x & 1) for x in range(n)]
+
+        def ok(perm):
+            return same_opens(sa, sb, perm)
+    elif isinstance(a, OrderedSpace):
+        rows_a, rows_b = a.qoset.leq, b.qoset.leq
+        sa, sb = set(a.topology.opens), set(b.topology.opens)
+        if len(sa) != len(sb):
+            return False, None
+        inv_a = [_relation_invariant(n, rows_a, x) + (sum(1 for u in sa if u >> x & 1),)
+                 for x in range(n)]
+        inv_b = [_relation_invariant(n, rows_b, x) + (sum(1 for u in sb if u >> x & 1),)
+                 for x in range(n)]
+
+        def ok(perm):
+            return same_rows(rows_a, rows_b, perm) and same_opens(sa, sb, perm)
+    else:
+        rows_a = a.rel if isinstance(a, BinaryRelation) else a.leq
+        rows_b = b.rel if isinstance(b, BinaryRelation) else b.leq
+        inv_a = [_relation_invariant(n, rows_a, x) for x in range(n)]
+        inv_b = [_relation_invariant(n, rows_b, x) for x in range(n)]
+
+        def ok(perm):
+            return same_rows(rows_a, rows_b, perm)
+
+    if sorted(inv_a) != sorted(inv_b):
+        return False, None
+    for perm in permutations(range(n)):
+        if all(inv_a[x] == inv_b[perm[x]] for x in range(n)) and ok(perm):
+            return True, perm
+    return False, None
+
+
+@pytest.mark.parametrize("kind", ["qoset", "topology", "ordered-space", "lattice"])
+def test_isomorphism_matches_scan_on_every_small_pair(kind):
+    isomorphic = 0
+    for n in range(1, 4):
+        objs = list(enumerate_instances(kind, n))
+        for a in objs:
+            for b in objs:
+                want = _isomorphic_scan(a, b)
+                assert are_isomorphic(a, b) == want
+                isomorphic += want[0]
+    assert isomorphic > 0
+
+
+def _relabel_rows(rows, perm):
+    out = [0] * len(rows)
+    for x, r in enumerate(rows):
+        out[perm[x]] = mask_of(perm[y] for y in bits(r))
+    return tuple(out)
+
+
+def _relabel(obj, perm):
+    if isinstance(obj, Topology):
+        return Topology(obj.n, tuple(sorted(mask_of(perm[x] for x in bits(u))
+                                            for u in obj.opens)))
+    if isinstance(obj, OrderedSpace):
+        return OrderedSpace(_relabel(obj.qoset, perm), _relabel(obj.topology, perm))
+    if isinstance(obj, Lattice):
+        return validate_lattice(obj.n, _relabel_rows(obj.leq, perm))
+    if isinstance(obj, Qoset):
+        return Qoset(obj.n, _relabel_rows(obj.leq, perm))
+    return BinaryRelation(obj.n, _relabel_rows(obj.rel, perm))
+
+
+def _transitive_closure(rows):
+    rows = list(rows)
+    for k in range(len(rows)):
+        for x in range(len(rows)):
+            if rows[x] >> k & 1:
+                rows[x] |= rows[k]
+    return tuple(rows)
+
+
+LATTICES = {k: lattices(k) for k in range(1, 6)}
+
+
+@st.composite
+def relabeled_pair(draw, max_n=6):
+    """A structure and a relabelling of it, perturbed half of the time (a
+    flipped relation bit, an added subbase member, or another lattice of the
+    same size), so that isomorphic and near-miss pairs are both drawn."""
+    kind, perturb = draw(st.sampled_from([
+        (k, p) for k in ("relation", "qoset", "topology", "ordered-space", "lattice")
+        for p in (False, True)
+    ]))
+    # lattices share the qoset rows; enumerating the 6-point ones costs seconds
+    n = draw(st.integers(min_value=1, max_value=5 if kind == "lattice" else max_n))
+    full = (1 << n) - 1
+    masks = st.integers(min_value=0, max_value=full)
+
+    def structure():
+        if kind == "lattice":
+            return draw(st.sampled_from(LATTICES[n]))
+        if kind == "topology":
+            return generate_topology(n, draw(st.lists(masks, max_size=5)))
+        # quarter-density rows, so that closures are not all total
+        rows = tuple(draw(masks) & draw(masks) | 1 << x for x in range(n))
+        if kind == "relation":
+            return BinaryRelation(n, rows)
+        q = Qoset(n, _transitive_closure(rows))
+        if kind == "qoset":
+            return q
+        return OrderedSpace(q, generate_topology(n, draw(st.lists(masks, max_size=5))))
+
+    a = structure()
+    b = _relabel(a, draw(st.permutations(range(n))))
+    if perturb:
+        x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if kind == "relation":
+            b = BinaryRelation(n, tuple(r ^ (x == z) << y for z, r in enumerate(b.rel)))
+        elif kind == "qoset":
+            b = Qoset(n, _transitive_closure(b.leq[:x] + (b.leq[x] | 1 << y,) + b.leq[x + 1:]))
+        elif kind == "topology":
+            b = generate_topology(n, [*b.opens, draw(masks)])
+        elif kind == "ordered-space":
+            b = OrderedSpace(b.qoset, generate_topology(n, [*b.topology.opens, draw(masks)]))
+        else:
+            b = structure()
+    return a, b
+
+
+# more examples than the profile's 100, so that every kind draws both verdicts
+@settings(max_examples=300)
+@given(relabeled_pair())
+def test_isomorphism_matches_scan_on_relabeled_pairs(pair):
+    a, b = pair
+    assert are_isomorphic(a, b) == _isomorphic_scan(a, b)
+
+
+def test_isomorphism_on_sixteen_points():
+    # n! permutations are out of reach here: 16! is about 2 * 10^13
+    n = 16
+    full = (1 << n) - 1
+    perm = (3, 14, 0, 9, 1, 15, 6, 12, 2, 11, 5, 8, 13, 4, 10, 7)
+    chain = Qoset(n, tuple(full & ~((1 << x) - 1) for x in range(n)))
+    ok, witness = are_isomorphic(chain, _relabel(chain, perm))
+    assert ok and witness == perm  # a chain has one isomorphism onto another
+    boolean = Qoset(n, tuple(mask_of(y for y in range(n) if x & ~y == 0) for x in range(n)))
+    relabeled = _relabel(boolean, perm)
+    ok, witness = are_isomorphic(boolean, relabeled)
+    assert ok and _relabel(boolean, witness) == relabeled
+    broken = Qoset(n, relabeled.leq[:-1] + (relabeled.leq[-1] | 1 << perm[0],))
+    assert not are_isomorphic(boolean, broken)[0]

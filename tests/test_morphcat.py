@@ -1,9 +1,11 @@
 """Morphism profiles, adjoints, and conversion between the six equivalent
 presentations of relationally based structures."""
 
-from itertools import product
+from dataclasses import replace
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordertop import cord, morphcat as mc, topoderive as td
 from ordertop.finstruct import (
@@ -12,6 +14,9 @@ from ordertop.finstruct import (
     SpaceMap,
     Topology,
     ValidationError,
+    bits,
+    generate_topology,
+    mask_of,
     validate_lattice,
 )
 from ordertop.labcli import qosets, topologies
@@ -261,3 +266,150 @@ def test_equivalence_is_basis_sensitive():
     assert not mc.are_equivalent(
         r1, mc.Representation("c-ordered-set", SIER_C)
     )
+
+
+# ---------------------------------------------------------------- equivalence oracle
+#
+# Equivalence is one call to the isomorphism search of finstruct, with the
+# basis as one more relation; the permutation scan it replaced is the oracle.
+
+def _payload_iso_scan(kind, a, b, perm) -> bool:
+    if kind in ("c-ordered-set",):
+        return all(
+            a.rel[x] >> y & 1 == b.rel[perm[x]] >> perm[y] & 1
+            for x in range(a.n) for y in range(a.n)
+        )
+    if kind in ("t0-core-space", "core-based-sober-space"):
+        mapped = {mask_of(perm[x] for x in bits(u)) for u in a.opens}
+        return mapped == set(b.opens)
+    if kind == "fan-ordered-space":
+        mapped = {mask_of(perm[x] for x in bits(u)) for u in a.topology.opens}
+        return mapped == set(b.topology.opens) and all(
+            a.qoset.leq[x] >> y & 1 == b.qoset.leq[perm[x]] >> perm[y] & 1
+            for x in range(a.n) for y in range(a.n)
+        )
+    # orders and lattices: the order determines meets and joins
+    return all(
+        a.leq[x] >> y & 1 == b.leq[perm[x]] >> perm[y] & 1
+        for x in range(a.n) for y in range(a.n)
+    )
+
+
+def _equivalent_scan(r1, r2) -> bool:
+    if r1.kind != r2.kind:
+        return False
+    n1 = r1.payload.n
+    if n1 != r2.payload.n:
+        return False
+    b1 = r1.basis
+    for perm in permutations(range(n1)):
+        if b1 is not None:
+            if mask_of(perm[x] for x in bits(b1)) != r2.basis:
+                continue
+        if _payload_iso_scan(r1.kind, r1.payload, r2.payload, perm):
+            return True
+    return False
+
+
+def _small_representations():
+    """_from_c of every T0 space on at most three points (all are core
+    spaces), in every kind."""
+    reps = []
+    for n in range(1, 4):
+        for s in (Topology(n, o) for o in topologies(n)):
+            if s.is_t0():
+                c = cord.CQuasiOrder(n, cord.interior_relation(s).rel)
+                reps += [mc._from_c(c, k) for k in mc.KINDS]
+    return reps
+
+
+def test_equivalence_matches_scan_on_every_small_representation():
+    reps = _small_representations()
+    equivalent = 0
+    for r1 in reps:
+        for r2 in reps:
+            want = _equivalent_scan(r1, r2)
+            assert mc.are_equivalent(r1, r2) == want
+            equivalent += want
+    # every basis of each based payload on at most six points: the scan
+    # over the 8! relabellings of the one 8-point open lattice is too slow
+    rebased = 0
+    for r in reps:
+        if r.basis is not None and r.payload.n <= 6:
+            for b in range(1 << r.payload.n):
+                other = replace(r, basis=b)
+                want = _equivalent_scan(r, other)
+                assert mc.are_equivalent(r, other) == want
+                assert mc.are_equivalent(other, r) == want
+                rebased += want
+    assert equivalent > len(reps) and rebased > 0
+
+
+def _relabel_rows(rows, perm):
+    out = [0] * len(rows)
+    for x, r in enumerate(rows):
+        out[perm[x]] = mask_of(perm[y] for y in bits(r))
+    return tuple(out)
+
+
+def _closure(rows):
+    rows = list(rows)
+    for k in range(len(rows)):
+        for x in range(len(rows)):
+            if rows[x] >> k & 1:
+                rows[x] |= rows[k]
+    return tuple(rows)
+
+
+@st.composite
+def relabeled_representations(draw, max_n=6):
+    """A payload of a random kind with a random basis, and its relabelling,
+    perturbed half of the time by a flipped relation or basis bit or an
+    extra open."""
+    kind, flip = draw(st.sampled_from([(k, f) for k in mc.KINDS for f in (False, True)]))
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    full = (1 << n) - 1
+    masks = st.integers(min_value=0, max_value=full)
+    perm = draw(st.permutations(range(n)))
+    x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    rows = tuple(draw(masks) & draw(masks) | 1 << z for z in range(n))
+    subbase = draw(st.lists(masks, max_size=5))
+    extra = draw(masks)
+
+    def topology(subbase, perm):
+        return generate_topology(n, [mask_of(perm[z] for z in bits(u)) for u in subbase])
+
+    def payloads(perm, flip):
+        rel = _relabel_rows(rows, perm)
+        if flip:
+            rel = rel[:x] + (rel[x] ^ 1 << y,) + rel[x + 1:]
+        sub = [*subbase, extra] if flip else subbase
+        if kind == "c-ordered-set":
+            return cord.CQuasiOrder(n, rel)
+        if kind in ("t0-core-space", "core-based-sober-space"):
+            return topology(sub, perm)
+        if kind == "fan-ordered-space":
+            return OrderedSpace(Qoset(n, _closure(rel)), topology(sub, perm))
+        q = Qoset(n, _closure(rel))
+        if kind == "based-supercontinuous-lattice":
+            try:
+                return validate_lattice(n, q.leq)
+            except ValidationError:
+                return q  # both sides compare the order rows only
+        return q
+
+    basis = draw(masks) if kind in mc.BASED_KINDS else None
+    r1 = mc.Representation(kind, payloads(tuple(range(n)), False), basis)
+    moved = None if basis is None else mask_of(perm[z] for z in bits(basis))
+    if flip and moved is not None and draw(st.booleans()):
+        moved ^= 1 << y
+    r2 = mc.Representation(kind, payloads(perm, flip), moved)
+    return r1, r2
+
+
+# more examples than the profile's 100, so that every kind draws both verdicts
+@settings(max_examples=300)
+@given(relabeled_representations())
+def test_equivalence_matches_scan_on_relabeled_representations(pair):
+    r1, r2 = pair
+    assert mc.are_equivalent(r1, r2) == _equivalent_scan(r1, r2)

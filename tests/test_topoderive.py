@@ -60,9 +60,20 @@ def test_alexandroff_and_weak_on_chain():
     assert td.weak_upper(CHAIN3).opens == (0, 0b100, 0b110, 0b111)
 
 
+def _scott_scan(q):
+    """Scott topology from its definition: the upper sets meeting every
+    directed set with a least upper bound inside them."""
+    lubs = [(d, td.least_upper_bounds(q, d)) for d in td.directed_subsets(q)]
+    return Topology(q.n, tuple(
+        u for u in q.upper_sets() if all(d & u for d, lub in lubs if lub & u)
+    ))
+
+
 def test_scott_equals_alexandroff_on_finite_qosets():
+    for n in range(1, 5):
+        for q in (Qoset(n, rows) for rows in qosets(n)):
+            assert td.scott_topology(q) == _scott_scan(q) == td.alexandroff(q)
     for q in ALL_QOSETS_3:
-        assert td.scott_topology(q) == td.alexandroff(q)
         assert td.weak_upper(q) == td.alexandroff(q)
 
 
