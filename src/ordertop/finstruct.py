@@ -118,6 +118,23 @@ def check_carrier(n):
         raise ValidationError("BadCarrier", (n,))
 
 
+def memo_property(fn):
+    """A plain `property` whose value is computed once per object and kept in
+    the object's `__dict__` (a frozen dataclass allows that).  It stays a
+    property, so it can be wrapped as one, and it takes no lock on first
+    access as `functools.cached_property` does on Python 3.11."""
+    key = fn.__name__
+
+    def get(self):
+        memo = self.__dict__
+        if key in memo:
+            return memo[key]
+        value = memo[key] = fn(self)
+        return value
+
+    return property(get, doc=fn.__doc__)
+
+
 # ---------------------------------------------------------------- structures
 
 @dataclass(frozen=True)
@@ -127,7 +144,7 @@ class Qoset:
     n: int
     leq: tuple
 
-    @property
+    @memo_property
     def geq(self):
         """Row masks of the dual order: geq[x] = {y : y <= x}."""
         return transpose(self.n, self.leq)
@@ -220,14 +237,14 @@ class Lattice:
     meet: tuple
     join: tuple
 
-    @property
+    @memo_property
     def bottom(self) -> int:
         for x in range(self.n):
             if self.leq[x] == (1 << self.n) - 1:
                 return x
         raise AssertionError("validated lattice has a bottom")
 
-    @property
+    @memo_property
     def top(self) -> int:
         for x in range(self.n):
             if self.leq[x] == 1 << x:
@@ -235,6 +252,12 @@ class Lattice:
         raise AssertionError("validated lattice has a top")
 
     def poset(self) -> Qoset:
+        """The order as a qoset; one object per lattice, so its derived
+        views are computed once."""
+        return self._poset
+
+    @memo_property
+    def _poset(self) -> Qoset:
         return Qoset(self.n, self.leq)
 
     def dual(self) -> "Lattice":
@@ -254,7 +277,7 @@ class Lattice:
         return acc
 
     def down_mask(self, x) -> int:
-        return mask_of(y for y in range(self.n) if self.leq[y] >> x & 1)
+        return self._poset.geq[x]
 
 
 Lattice.matrix = Qoset.matrix  # identical row representation
@@ -375,26 +398,29 @@ def validate_lattice(n, matrix) -> Lattice:
         for y in range(x + 1, n):
             if rows[x] >> y & 1 and rows[y] >> x & 1:
                 raise ValidationError("NotAntisymmetric", (x, y))
-    geq = transpose(n, rows)
+    geq = q.geq
     meet = []
     join = []
     for x in range(n):
         mrow = []
         jrow = []
         for y in range(n):
-            lower = geq[x] & geq[y]
-            glbs = [z for z in bits(lower) if all(rows[w] >> z & 1 for w in bits(lower))]
-            if not glbs:
-                raise ValidationError("NoMeet", (x, y))
-            mrow.append(glbs[0])
-            upper = rows[x] & rows[y]
-            lubs = [z for z in bits(upper) if all(rows[z] >> w & 1 for w in bits(upper))]
-            if not lubs:
-                raise ValidationError("NoJoin", (x, y))
-            jrow.append(lubs[0])
+            # the common lower bounds form a lower set: their greatest
+            # element is the one whose down-set is all of them (unique by
+            # antisymmetry); dually for the common upper bounds
+            mrow.append(_generator(geq, geq[x] & geq[y], "NoMeet", x, y))
+            jrow.append(_generator(rows, rows[x] & rows[y], "NoJoin", x, y))
         meet.append(tuple(mrow))
         join.append(tuple(jrow))
     return Lattice(n, rows, tuple(meet), tuple(join))
+
+
+def _generator(rows, mask, code, x, y):
+    """The point z of `mask` with rows[z] == mask, else ValidationError."""
+    for z in bits(mask):
+        if rows[z] == mask:
+            return z
+    raise ValidationError(code, (x, y))
 
 
 def _rows_from(n, matrix):

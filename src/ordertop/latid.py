@@ -1,21 +1,34 @@
 """Lattice identity checkers, the way-below and superway relations, coprimes,
 join-dense sets and lattice weight.
 
-Laws are each implemented from their own defining identity; the distributivity
-identity over set collections is written as
+Each law is decided by the identity it folds to on a finite lattice
+(Birkhoff, *Lattice Theory*, 1967; Davey & Priestley, *Introduction to
+Lattices and Order*, 2002):
 
-    meet{ join(Y) : Y in YY } = join( intersection(YY) )
+- frame, coframe: x meet join(Y) = join{x meet y : y in Y} over all subsets
+  Y holds at a fixed x iff it holds for every two-member Y (induction on
+  |Y|), so only the least x that fails the binary law is scanned over all Y,
+  which keeps the lexicographically least witness;
+- distributive: the binary law over all triples;
+- meet-continuous: the same law over directed sets.  A finite directed set D
+  has a top d, and both sides are x meet d, so it is checked once per
+  (x, d), on the down-set of d;
+- continuous-lattice, wide-frame, wide-coframe: the collection identity
 
-over collections YY of lower sets (all / finitely generated / ideals, per law).
-It is decided by its two-member fold on the intersection-closed families, and
-for all lower sets by the superway join criterion; the tests replay both
-against the scan over every subcollection.
+      meet{ join(Y) : Y in YY } = join( intersection(YY) )
+
+  over collections YY of ideals (the principal ideals) or of finitely
+  generated lower sets (all lower sets).  Both families are
+  intersection-closed, so the identity folds to two-member collections;
+- completely-distributive: every element is the join of the elements
+  superway-below it.
+
+The tests replay every fold against the scan it replaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .finstruct import (
     BinaryRelation,
@@ -78,74 +91,92 @@ def lower_set_masks(lat: Lattice):
     return lat.poset().lower_sets()
 
 
-def finitely_generated_lower_sets(lat: Lattice):
-    """Down-closures of finite subsets (on a finite carrier: all lower sets,
-    but constructed from the generating-set definition)."""
-    q = lat.poset()
-    return sorted({q.down(f) for f in range(1 << lat.n)})
-
-
 def ideal_masks(lat: Lattice):
-    """Directed lower sets, ascending."""
-    q = lat.poset()
-    return [d for d in q.lower_sets() if is_directed(q.leq, d)]
+    """Directed lower sets, ascending.  A finite directed set has a top, so
+    these are the principal ideals."""
+    return sorted(lat.poset().geq)
 
 
 # ------------------------------------------------------------ law checking
 
 def check_law(lat: Lattice, law: str):
     """Verdict for a lattice law, plus the lexicographically least
-    counterexample witness on failure (None on success)."""
+    counterexample witness on failure (None on success).
+
+    Each law is decided by its finite identity (see the module docstring):
+    frame and coframe by the binary law per x, meet-continuity per (x, top),
+    the ideal and lower-set collection laws on two-member collections, and
+    complete distributivity by the superway join criterion."""
     if law == "frame":
-        return _binary_meet_join_law(lat)
+        return _frame_law(lat)
     if law == "coframe":
-        return _binary_meet_join_law(lat.dual())
+        return _frame_law(lat.dual())
     if law == "distributive":
         return _distributive(lat)
     if law == "meet-continuous":
-        return _meet_join_law_over(lat, directed_subsets(lat.poset()))
+        return _meet_continuous(lat)
     if law == "continuous-lattice":
         return _pairwise_collection_law(lat, ideal_masks(lat))
     if law == "completely-distributive":
         return _superway_join_test(lat)
     if law == "wide-coframe":
-        return _pairwise_collection_law(lat, finitely_generated_lower_sets(lat))
+        return _pairwise_collection_law(lat, lower_set_masks(lat))
     if law == "wide-frame":
         dual = lat.dual()
-        return _pairwise_collection_law(dual, finitely_generated_lower_sets(dual))
+        return _pairwise_collection_law(dual, lower_set_masks(dual))
     raise ValidationError("UnknownLaw", (law,))
 
 
-def _binary_meet_join_law(lat: Lattice):
-    """x meet join(Y) = join{x meet y : y in Y} over all subsets Y."""
+def _meets_distribute(lat: Lattice, x, ymask) -> bool:
+    """x meet join(Y) = join{x meet y : y in Y}."""
+    rhs = lat.join_of(mask_of(lat.meet[x][y] for y in bits(ymask)))
+    return lat.meet[x][lat.join_of(ymask)] == rhs
+
+
+def _frame_law(lat: Lattice):
+    """The frame law over all subsets Y, decided per x by its binary case;
+    the least failing x is scanned over all Y for the least witness."""
     for x in range(lat.n):
+        if _binary_failure(lat, x) is None:
+            continue
         for ymask in range(1 << lat.n):
-            lhs = lat.meet[x][lat.join_of(ymask)]
-            rhs = lat.join_of(mask_of(lat.meet[x][y] for y in bits(ymask)))
-            if lhs != rhs:
+            if not _meets_distribute(lat, x, ymask):
                 return False, (x, tuple(mask_to_list(ymask)))
     return True, None
 
 
-def _meet_join_law_over(lat: Lattice, ymasks):
+def _meet_continuous(lat: Lattice):
+    """The frame law over directed sets: checked once per (x, d) on the
+    down-set of d, since a directed set with top d gives x meet d on both
+    sides."""
+    geq = lat.poset().geq
     for x in range(lat.n):
-        for ymask in ymasks:
-            lhs = lat.meet[x][lat.join_of(ymask)]
-            rhs = lat.join_of(mask_of(lat.meet[x][y] for y in bits(ymask)))
-            if lhs != rhs:
-                return False, (x, tuple(mask_to_list(ymask)))
+        for d in range(lat.n):
+            if not _meets_distribute(lat, x, geq[d]):
+                return False, (x, tuple(mask_to_list(geq[d])))
     return True, None
 
 
 def _distributive(lat: Lattice):
+    """The binary law over all triples.  It holds when y = z and is
+    symmetric in y and z, so the least failing triple has y < z."""
     for x in range(lat.n):
-        for y in range(lat.n):
-            for z in range(lat.n):
-                lhs = lat.meet[x][lat.join[y][z]]
-                rhs = lat.join[lat.meet[x][y]][lat.meet[x][z]]
-                if lhs != rhs:
-                    return False, (x, y, z)
+        pair = _binary_failure(lat, x)
+        if pair is not None:
+            return False, (x, *pair)
     return True, None
+
+
+def _binary_failure(lat: Lattice, x):
+    """The least pair y < z with x meet (y join z) != (x meet y) join
+    (x meet z), or None."""
+    n = lat.n
+    join, mx = lat.join, lat.meet[x]
+    for y in range(n):
+        for z in range(y + 1, n):
+            if mx[join[y][z]] != join[mx[y]][mx[z]]:
+                return y, z
+    return None
 
 
 def _pairwise_collection_law(lat: Lattice, family):
@@ -229,12 +260,11 @@ def is_join_dense(lat: Lattice, bmask) -> bool:
 
 
 def min_join_dense(lat: Lattice) -> WeightResult:
-    """Smallest join-dense subset (lexicographically least at minimal size)."""
-    for size in range(lat.n + 1):
-        for combo in combinations(range(lat.n), size):
-            if is_join_dense(lat, mask_of(combo)):
-                return WeightResult(size, combo)
-    raise AssertionError("the whole carrier is join-dense")
+    """Smallest join-dense subset (lexicographically least at minimal size).
+    In a finite lattice the join-irreducibles are join-dense and lie in every
+    join-dense subset, so they are the unique minimum."""
+    ji = join_irreducibles(lat)
+    return WeightResult(ji.bit_count(), tuple(mask_to_list(ji)))
 
 
 def join_irreducibles(lat: Lattice) -> int:

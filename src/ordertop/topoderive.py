@@ -18,8 +18,8 @@ from .finstruct import (
     ValidationError,
     bits,
     generate_topology,
-    is_directed,
     mask_of,
+    subsets_of,
     transpose,
 )
 
@@ -33,13 +33,25 @@ def specialization(t: Topology) -> Qoset:
 
 
 def directed_subsets(q: Qoset):
-    """Nonempty subsets in which every pair has an upper bound inside."""
-    return [d for d in range(1, 1 << q.n) if is_directed(q.leq, d)]
+    """Nonempty subsets in which every pair has an upper bound inside,
+    ascending.  A finite directed set has a greatest element d up to
+    equivalence, so the directed sets are the sets {d} | sub with sub a
+    subset of the down-set of d."""
+    return _topped(q.geq)
 
 
 def filtered_subsets(q: Qoset):
-    geq = q.geq
-    return [d for d in range(1, 1 << q.n) if is_directed(geq, d)]
+    """Nonempty subsets in which every pair has a lower bound inside,
+    ascending: the sets {d} | sub with sub a subset of the up-set of d."""
+    return _topped(q.leq)
+
+
+def _topped(rows):
+    out = set()
+    for d, row in enumerate(rows):
+        top = 1 << d
+        out.update(sub | top for sub in subsets_of(row & ~top))
+    return sorted(out)
 
 
 def upper_bounds(q: Qoset, mask) -> int:

@@ -129,6 +129,9 @@ def test_criterion_07_cardinal_invariants():
                     f"{elapsed:.2f}s (budget 120s)")
 
 
+LATTICE_LAWS_N6_HASH = "4a9f89a5a58cc76b922ba1e3aa6c65c80004fbd553c4e57f078e4e8e5193aeaa"
+
+
 def test_criterion_08_lattice_law_collapse():
     start = time.monotonic()
     report = run_suite(SuiteSpec("lattice-laws", 6))
@@ -139,13 +142,14 @@ def test_criterion_08_lattice_law_collapse():
     ok_n5, wit_n5 = latid.check_law(n5, "distributive")
     ok = (
         report.failures == 0
+        and report.determinism_hash == LATTICE_LAWS_N6_HASH
         and not ok_m3 and wit_m3 == (1, (2, 3))
         and not ok_n5 and wit_n5 == (3, 1, 2)
-        and elapsed < 60.0
+        and elapsed < 15.0
     )
     _verdict(8, ok, f"{report.instances} lattices through 6 elements, "
                     f"{report.failures} failures, witnesses {wit_m3}/{wit_n5}, "
-                    f"{elapsed:.2f}s (budget 60s)")
+                    f"{elapsed:.2f}s (budget 15s)")
 
 
 THM_8_4_N4_HASH = "7b5dffcc6ad93db9e64ad9f45520db32e6db91b9b93459222bcb9669f014a592"

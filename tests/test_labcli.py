@@ -379,3 +379,12 @@ def test_verdict_stream_pins():
         for inst, ok, detail in labcli._suite_cases(SuiteSpec(suite, n), fault):
             h.update(json.dumps([inst, ok, detail], sort_keys=True).encode())
         assert h.hexdigest()[:16] == pin, (suite, fault)
+
+
+def test_lattice_laws_n6_verdict_stream_pin():
+    h = hashlib.sha256()
+    for inst, ok, detail in labcli._suite_cases(SuiteSpec("lattice-laws", 6), None):
+        h.update(json.dumps([inst, ok, detail], sort_keys=True).encode())
+    assert h.hexdigest() == (
+        "754d96d712eb6ac3a86dfdf25cd5676e51d400b4d0631637ee73928d5bde0164"
+    )

@@ -1,16 +1,21 @@
 """Lattice identities, way-below/superway relations, coprimes and weight.
 
-Production shortcuts (pairwise folds, the superway join criterion) are
-cross-checked against direct collection and superway scans on small lattices."""
+Production shortcuts (the binary frame law per x, meet-continuity per top,
+principal ideals, pairwise folds, the superway join criterion, the
+join-irreducibles as the least join-dense set) are cross-checked against the
+direct scans they replace on small lattices."""
 
 import pytest
 
 from ordertop import latid
+from itertools import combinations
+
 from ordertop.finstruct import (
     BinaryRelation,
     Topology,
     ValidationError,
     bits,
+    is_directed,
     mask_of,
     mask_to_list,
     validate_lattice,
@@ -25,6 +30,8 @@ SIER = Topology(2, (0, 2, 3))
 
 ALL_LATTICES_4 = lattices(4)
 ALL_LATTICES_5 = lattices(5)
+# every lattice with at most five elements
+UP_TO_5 = [lat for k in range(1, 6) for lat in lattices(k)]
 
 DISTRIBUTIVITY_LAWS = (
     "frame", "coframe", "wide-frame", "wide-coframe",
@@ -50,7 +57,26 @@ def test_lower_sets_match_direct_scan():
         )
         assert q.lower_sets() == direct
         assert latid.lower_set_masks(lat) == direct
-        assert latid.finitely_generated_lower_sets(lat) == direct
+
+
+def _finitely_generated_lower_sets(lat):
+    """Down-closures of all finite subsets, from the generating-set
+    definition."""
+    q = lat.poset()
+    return sorted({q.down(f) for f in range(1 << lat.n)})
+
+
+def _ideal_scan(lat):
+    """Directed lower sets, ascending, by scanning every lower set."""
+    q = lat.poset()
+    return [d for d in q.lower_sets() if is_directed(q.leq, d)]
+
+
+def test_lower_set_families_match_their_definitions():
+    assert len(UP_TO_5) == 425
+    for lat in UP_TO_5:
+        assert latid.lower_set_masks(lat) == _finitely_generated_lower_sets(lat)
+        assert latid.ideal_masks(lat) == _ideal_scan(lat)
 
 
 def test_ideal_masks_on_diamond():
@@ -90,6 +116,54 @@ def test_meet_continuous_and_continuous_hold_on_all_small_lattices():
         assert latid.check_law(lat, "continuous-lattice")[0]
 
 
+def _meet_join_law_over(lat, ymasks):
+    """x meet join(Y) = join{x meet y : y in Y} over the given sets Y, with
+    the least failing (x, Y) as witness."""
+    for x in range(lat.n):
+        for ymask in ymasks:
+            lhs = lat.meet[x][lat.join_of(ymask)]
+            rhs = lat.join_of(mask_of(lat.meet[x][y] for y in bits(ymask)))
+            if lhs != rhs:
+                return False, (x, tuple(mask_to_list(ymask)))
+    return True, None
+
+
+def test_frame_fold_matches_subset_scan():
+    failing = 0
+    for lat in UP_TO_5:
+        for law, target in (("frame", lat), ("coframe", lat.dual())):
+            got = latid.check_law(lat, law)
+            assert got == _meet_join_law_over(target, range(1 << lat.n))
+        failing += not latid.check_law(lat, "distributive")[0]
+    # the witnesses were compared on every non-distributive lattice
+    assert failing == 140
+
+
+def _distributive_scan(lat):
+    """The binary distributive law over all triples, least failing first."""
+    for x in range(lat.n):
+        for y in range(lat.n):
+            for z in range(lat.n):
+                lhs = lat.meet[x][lat.join[y][z]]
+                rhs = lat.join[lat.meet[x][y]][lat.meet[x][z]]
+                if lhs != rhs:
+                    return False, (x, y, z)
+    return True, None
+
+
+def test_distributive_fold_matches_triple_scan():
+    for lat in UP_TO_5:
+        for target in (lat, lat.dual()):
+            assert latid.check_law(target, "distributive") == _distributive_scan(target)
+
+
+def test_meet_continuity_fold_matches_directed_scan():
+    for lat in UP_TO_5:
+        q = lat.poset()
+        directed = [d for d in range(1, 1 << lat.n) if is_directed(q.leq, d)]
+        assert latid.check_law(lat, "meet-continuous") == _meet_join_law_over(lat, directed)
+
+
 def _collection_law(lat, family):
     """meet{join Y} = join(intersection YY) over all subcollections YY of the
     given family of lower sets (empty meet = top, empty intersection = all),
@@ -114,9 +188,9 @@ def _collection_law_oracle(lat, law):
     if law == "completely-distributive":
         return _collection_law(lat, latid.lower_set_masks(lat))
     if law == "wide-coframe":
-        return _collection_law(lat, latid.finitely_generated_lower_sets(lat))
+        return _collection_law(lat, _finitely_generated_lower_sets(lat))
     dual = lat.dual()  # wide-frame
-    return _collection_law(dual, latid.finitely_generated_lower_sets(dual))
+    return _collection_law(dual, _finitely_generated_lower_sets(dual))
 
 
 def test_production_folds_agree_with_direct_scans():
@@ -207,5 +281,21 @@ def test_join_irreducibles_vs_join_density():
     for lat in ALL_LATTICES_4:
         ji = latid.join_irreducibles(lat)
         assert latid.is_join_dense(lat, ji)
-        # the irreducibles are contained in every join-dense subset
-        assert ji & ~mask_of(latid.min_join_dense(lat).witness) == 0
+        # the irreducibles are the least join-dense subset
+        assert ji == mask_of(latid.min_join_dense(lat).witness)
+
+
+def _min_join_dense_scan(lat):
+    """Smallest join-dense subset, lexicographically least at its size, by
+    scanning subsets in order of size."""
+    for size in range(lat.n + 1):
+        for combo in combinations(range(lat.n), size):
+            if latid.is_join_dense(lat, mask_of(combo)):
+                return latid.WeightResult(size, combo)
+    raise AssertionError("the whole carrier is join-dense")
+
+
+def test_min_join_dense_matches_subset_scan():
+    for lat in UP_TO_5:
+        assert latid.min_join_dense(lat) == _min_join_dense_scan(lat)
+        assert latid.min_join_dense(lat.dual()) == _min_join_dense_scan(lat.dual())

@@ -12,6 +12,7 @@ from ordertop.finstruct import (
     ValidationError,
     bits,
     generate_topology,
+    is_directed,
     mask_of,
 )
 from ordertop.labcli import qosets, topologies
@@ -43,6 +44,14 @@ def test_specialization_oracle_every_open_containing_x():
 def test_directed_and_filtered_subsets_on_antichain():
     assert td.directed_subsets(ANTI3) == [1, 2, 4]
     assert td.filtered_subsets(ANTI3) == [1, 2, 4]
+
+
+def test_directed_and_filtered_subsets_match_subset_scan():
+    for n in range(1, 5):
+        for q in (Qoset(n, rows) for rows in qosets(n)):
+            subsets = range(1, 1 << n)
+            assert td.directed_subsets(q) == [d for d in subsets if is_directed(q.leq, d)]
+            assert td.filtered_subsets(q) == [d for d in subsets if is_directed(q.geq, d)]
 
 
 def test_least_upper_bounds():
