@@ -5,11 +5,11 @@ principal ideals, pairwise folds, the superway join criterion, the
 join-irreducibles as the least join-dense set) are cross-checked against the
 direct scans they replace on small lattices."""
 
+from itertools import combinations
+
 import pytest
 
 from ordertop import latid
-from itertools import combinations
-
 from ordertop.finstruct import (
     BinaryRelation,
     Topology,
