@@ -20,13 +20,6 @@ print(f"  failures={broken.failures}")
 first = broken.counterexamples[0]
 print(f"  first counterexample: {first['instance']}")
 
-print("\nthe same fault run partitioned over four workers gives the "
-      "identical report")
-broken4 = run_suite(
-    SuiteSpec("thm-4.6", 3), workers=4, fault="sector-no-separation"
-)
-print(f"  hashes equal: {broken.determinism_hash == broken4.determinism_hash}")
-
 print("\nhunt: is every semi-separated ordered space up-stable?")
 result = hunt(HypothesisSpec(("semi-qospace",), "up-stable", n=3))
 print(f"  {result}")

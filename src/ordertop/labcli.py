@@ -2,7 +2,7 @@
 fixtures, and the `ordertop` command-line interface.
 
 Enumeration is labeled and lexicographic over canonical encodings, so "first
-counterexample" is well defined and independent of worker partitioning.
+counterexample" is well defined.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import __version__, cord, latid, morphcat, ospace
 from . import topoderive as td
@@ -219,35 +219,33 @@ def enumerate_instances(kind, n):
 
 # ---------------------------------------------------------------- registry
 
-def _tb(t: OrderedSpace) -> ospace.Tables:
-    return ospace.Tables(t)
-
-
+# Ordered-space predicates take the space's `ospace.Tables`, topology
+# predicates the topology itself (see `_subject`).
 PREDICATES = {
     # ordered-space predicates
-    "semi-qospace": ("ordered-space", lambda t: ospace.is_semi_qospace(_tb(t))),
-    "qospace": ("ordered-space", lambda t: ospace.is_qospace(_tb(t))),
-    "pospace": ("ordered-space", lambda t: ospace.is_qospace(_tb(t)) and t.qoset.is_antisymmetric()),
-    "t1-ordered": ("ordered-space", lambda t: ospace.is_semi_qospace(_tb(t)) and t.qoset.is_antisymmetric()),
-    "t2-ordered": ("ordered-space", lambda t: ospace.is_t2_ordered(_tb(t))),
-    "upper-regular": ("ordered-space", lambda t: ospace.is_upper_regular(_tb(t))),
-    "lower-regular": ("ordered-space", lambda t: ospace.is_lower_regular(_tb(t))),
-    "locally-convex": ("ordered-space", lambda t: ospace.is_locally_convex(_tb(t))),
-    "strongly-convex": ("ordered-space", lambda t: ospace.is_strongly_convex(_tb(t))),
-    "hyperconvex": ("ordered-space", lambda t: ospace.is_hyperconvex(_tb(t))),
-    "up-stable": ("ordered-space", lambda t: ospace.is_up_stable(_tb(t))),
-    "d-stable": ("ordered-space", lambda t: ospace.is_d_stable(_tb(t))),
-    "core-stable": ("ordered-space", lambda t: ospace.is_core_stable(_tb(t))),
-    "vee-stable": ("ordered-space", lambda t: ospace.is_vee_stable(_tb(t))),
-    "wedge-stable": ("ordered-space", lambda t: ospace.is_wedge_stable(_tb(t))),
-    "diamond-stable": ("ordered-space", lambda t: ospace.is_diamond_stable(_tb(t))),
-    "web-ordered": ("ordered-space", lambda t: ospace.is_web_ordered(_tb(t))),
-    "locally-filtered": ("ordered-space", lambda t: ospace.is_locally_filtered(_tb(t))),
-    "sector-space": ("ordered-space", lambda t: ospace.is_sector_space(_tb(t))),
-    "fan-space": ("ordered-space", lambda t: ospace.is_fan_space(_tb(t))),
-    "mc-ordered": ("ordered-space", lambda t: ospace.is_mc_ordered(_tb(t))),
-    "upper-m-determined": ("ordered-space", lambda t: ospace.is_upper_m_determined(_tb(t))),
-    "compact": ("ordered-space", lambda t: td.compactness(t.topology, t.topology.full, "compact")),
+    "semi-qospace": ("ordered-space", ospace.is_semi_qospace),
+    "qospace": ("ordered-space", ospace.is_qospace),
+    "pospace": ("ordered-space", lambda tb: ospace.is_qospace(tb) and tb.q.is_antisymmetric()),
+    "t1-ordered": ("ordered-space", lambda tb: ospace.is_semi_qospace(tb) and tb.q.is_antisymmetric()),
+    "t2-ordered": ("ordered-space", ospace.is_t2_ordered),
+    "upper-regular": ("ordered-space", ospace.is_upper_regular),
+    "lower-regular": ("ordered-space", ospace.is_lower_regular),
+    "locally-convex": ("ordered-space", ospace.is_locally_convex),
+    "strongly-convex": ("ordered-space", ospace.is_strongly_convex),
+    "hyperconvex": ("ordered-space", ospace.is_hyperconvex),
+    "up-stable": ("ordered-space", ospace.is_up_stable),
+    "d-stable": ("ordered-space", ospace.is_d_stable),
+    "core-stable": ("ordered-space", ospace.is_core_stable),
+    "vee-stable": ("ordered-space", ospace.is_vee_stable),
+    "wedge-stable": ("ordered-space", ospace.is_wedge_stable),
+    "diamond-stable": ("ordered-space", ospace.is_diamond_stable),
+    "web-ordered": ("ordered-space", ospace.is_web_ordered),
+    "locally-filtered": ("ordered-space", ospace.is_locally_filtered),
+    "sector-space": ("ordered-space", ospace.is_sector_space),
+    "fan-space": ("ordered-space", ospace.is_fan_space),
+    "mc-ordered": ("ordered-space", ospace.is_mc_ordered),
+    "upper-m-determined": ("ordered-space", ospace.is_upper_m_determined),
+    "compact": ("ordered-space", lambda tb: td.compactness(tb.t, tb.full, "compact")),
     # topology predicates
     "t0": ("topology", lambda s: s.is_t0()),
     "sober": ("topology", td.is_sober),
@@ -255,6 +253,11 @@ PREDICATES = {
     "core-space": ("topology", cord.is_core_space),
     "web-space": ("topology", ospace.is_web_space),
 }
+
+
+def _subject(kind, inst):
+    """What the predicates of `kind` take for `inst`."""
+    return ospace.Tables(inst) if kind == "ordered-space" else inst
 
 
 # ---------------------------------------------------------------- reports
@@ -272,17 +275,7 @@ class Report:
     determinism_hash: str = ""
 
     def to_dict(self):
-        return {
-            "suite": self.suite,
-            "n": self.n,
-            "instances": self.instances,
-            "passes": self.passes,
-            "failures": self.failures,
-            "counterexamples": self.counterexamples,
-            "wall_time": self.wall_time,
-            "version": self.version,
-            "determinism_hash": self.determinism_hash,
-        }
+        return asdict(self)
 
     def seal(self):
         payload = self.to_dict()
@@ -310,7 +303,9 @@ FAULTS = {
 
 
 def _suite_cases(spec: SuiteSpec, fault=None):
-    """Yield (encoded-instance, ok, detail) in enumeration order."""
+    """Yield (instance, ok, detail) in enumeration order.  The instance is
+    the structure itself, or a dict of structures and integers; `_record`
+    gives the text a report keeps."""
     s_id, n = spec.suite, spec.n
     if s_id == "thm-3.3-roundtrip":
         for s in enumerate_instances("topology", n):
@@ -320,7 +315,7 @@ def _suite_cases(spec: SuiteSpec, fault=None):
                 cord.topology_of(c) == s
                 and td.alexandroff(td.specialization(s)) == s
             )
-            yield encode(s), ok, None
+            yield s, ok, None
     elif s_id in ("thm-4.6", "thm-5.3"):
         tops = enumerate_instances("topology", n)
         orders = posets(n)
@@ -347,7 +342,7 @@ def _suite_cases(spec: SuiteSpec, fault=None):
                             ),
                         ) + vec[1:]
                 ok = len(set(vec)) == 1
-                yield encode(sp), ok, list(vec)
+                yield sp, ok, list(vec)
     elif s_id == "thm-6.2":
         orders = posets(n)
         if n >= 5 and len(orders) > spec.sample:
@@ -357,11 +352,11 @@ def _suite_cases(spec: SuiteSpec, fault=None):
             q = Qoset(n, rows)
             sp = OrderedSpace(q, td.lawson_topology(q))
             vec = ospace.thm_6_2_sides(ospace.Tables(sp))
-            yield encode(sp), all(vec), list(vec)
+            yield sp, all(vec), list(vec)
         if n <= 3:
             for sp in enumerate_instances("ordered-space", n):
                 vec = ospace.thm_6_2_sides(ospace.Tables(sp))
-                yield encode(sp), vec[3] == vec[4], [vec[3], vec[4]]
+                yield sp, vec[3] == vec[4], [vec[3], vec[4]]
     elif s_id == "thm-7.2":
         tops = [Topology(n, opens) for opens in topologies(n)]
         for rows in _meet_posets(n):
@@ -376,7 +371,7 @@ def _suite_cases(spec: SuiteSpec, fault=None):
                 ok = all(
                     len(set(vec[i:i + 3])) == 1 for i in (0, 3, 6)
                 )
-                yield encode(sp), ok, list(vec)
+                yield sp, ok, list(vec)
     elif s_id == "prop-7.4":
         tops = [Topology(n, opens) for opens in topologies(n)]
         for rows in _meet_posets(n):
@@ -384,7 +379,7 @@ def _suite_cases(spec: SuiteSpec, fault=None):
             for t in tops:
                 sp = OrderedSpace(q, t)
                 vec = ospace.prop_7_4_sides(ospace.Tables(sp))
-                yield encode(sp), len(set(vec)) == 1, list(vec)
+                yield sp, len(set(vec)) == 1, list(vec)
     elif s_id == "thm-8.4":
         for s in enumerate_instances("t0-topology", n):
             if not cord.is_core_space(s):
@@ -401,18 +396,18 @@ def _suite_cases(spec: SuiteSpec, fault=None):
                     if not morphcat.are_equivalent(ra, back):
                         ok = False
                         detail = [a, b]
-            yield encode(s), ok, detail
+            yield s, ok, detail
     elif s_id == "thm-9.3":
         for s in enumerate_instances("topology", n):
             inv = cord.cardinal_invariants(s)
             classes = len(set(td.specialization(s).leq))
             ok = all(v == classes for v in inv.values)
-            yield encode(s), ok, list(inv.values)
+            yield s, ok, list(inv.values)
     elif s_id == "prop-3.1":
         for s in enumerate_instances("topology", n):
             prof = cord.core_space_profile(s)
             ok = prof.agreement and all(prof.flags)
-            yield encode(s), ok, list(prof.flags)
+            yield s, ok, list(prof.flags)
     elif s_id == "prop-5.5":
         for s in enumerate_instances("topology", n):
             e = td.quasi_uniformity(s)
@@ -421,13 +416,12 @@ def _suite_cases(spec: SuiteSpec, fault=None):
                 and td.tau_inverse(e) == td.weak_upper(td.specialization(s).dual())
                 and td.tau_star(e) == td.patch(s, "upsilon").topology
             )
-            yield encode(s), ok, None
+            yield s, ok, None
     elif s_id == "prop-9.1":
         for s in enumerate_instances("topology", n):
             for b in range(s.full + 1):
                 conds = cord.prop_9_1_conditions(s, b)
-                yield json.dumps({"space": encode(s), "basis": b}), \
-                    len(set(conds)) == 1, list(conds)
+                yield {"space": s, "basis": b}, len(set(conds)) == 1, list(conds)
     elif s_id == "lattice-laws":
         for k in range(1, n + 1):
             for lat in lattices(k):
@@ -448,20 +442,30 @@ def _suite_cases(spec: SuiteSpec, fault=None):
                         latid.min_join_dense(lat).weight
                         == latid.min_join_dense(lat.dual()).weight
                     )
-                yield encode(lat), ok, verdicts
+                yield lat, ok, verdicts
     elif s_id == "count-crosscheck":
         for k in range(n + 1):
             a = len(topologies(k))
             b = len(qosets(k))
-            yield json.dumps({"n": k}), a == b, [a, b]
+            yield {"n": k}, a == b, [a, b]
     else:
         raise ValidationError("UnknownSuite", (s_id,))
 
 
+def _record(inst) -> str:
+    """The text a report keeps for a suite instance: its encoding, or for a
+    dict the JSON object with each structure value encoded."""
+    if isinstance(inst, dict):
+        return json.dumps({
+            k: v if isinstance(v, int) else encode(v) for k, v in inst.items()
+        })
+    return encode(inst)
+
+
 def run_suite(spec: SuiteSpec, workers: int = 1, fault: str | None = None) -> Report:
-    """Evaluate a suite in enumeration order.  `workers` is accepted for
-    compatibility and does not change the evaluation, which runs in this
-    process."""
+    """Evaluate a suite in enumeration order, in this process.  `workers` is
+    ignored: it is accepted only because existing callers pass it.  Only
+    counterexamples are encoded."""
     if fault is not None and FAULTS.get(fault) != spec.suite:
         raise ValidationError("UnknownFault", (fault, spec.suite))
     start = time.monotonic()
@@ -472,7 +476,7 @@ def run_suite(spec: SuiteSpec, workers: int = 1, fault: str | None = None) -> Re
             report.passes += 1
         else:
             report.failures += 1
-            report.counterexamples.append({"instance": inst, "detail": detail})
+            report.counterexamples.append({"instance": _record(inst), "detail": detail})
     report.wall_time = time.monotonic() - start
     return report.seal()
 
@@ -498,8 +502,9 @@ def hunt(h: HypothesisSpec):
     count = 0
     for inst in enumerate_instances(h.kind, h.n):
         count += 1
-        if all(PREDICATES[tag][1](inst) for tag in h.assume):
-            if not PREDICATES[h.refute][1](inst):
+        subject = _subject(h.kind, inst)
+        if all(PREDICATES[tag][1](subject) for tag in h.assume):
+            if not PREDICATES[h.refute][1](subject):
                 return {"counterexample": encode(inst)}
     return {
         "exhausted": {"kind": h.kind, "n": h.n, "instances": count},
@@ -613,7 +618,7 @@ def _cmd_check(args):
         print(f"unknown class tag: {args.cls}", file=sys.stderr)
         return 2
     kind, fn = PREDICATES[args.cls]
-    verdict = fn(_load(args.infile, (kind,), f"check {args.cls}"))
+    verdict = fn(_subject(kind, _load(args.infile, (kind,), f"check {args.cls}")))
     print(json.dumps({"class": args.cls, "verdict": verdict}))
     return 0 if verdict else 1
 
@@ -666,11 +671,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_verify(args):
-    if args.suite not in SUITES:
-        print(f"unknown suite: {args.suite}", file=sys.stderr)
-        return 2
     spec = SuiteSpec(args.suite, args.n, seed=args.seed, sample=args.sample)
-    report = run_suite(spec, workers=args.workers, fault=args.fault)
+    report = run_suite(spec, fault=args.fault)
     if args.verbose:
         for rec in report.counterexamples:
             print(json.dumps(rec, sort_keys=True))
@@ -752,9 +754,6 @@ def main(argv=None):
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; the suite is evaluated "
-                        "in one process and the report does not depend on it")
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sample", type=int, default=1000)

@@ -85,42 +85,6 @@ class Tables:
         return Qoset(self.n, self.Mup)
 
     @cached_property
-    def closed_uppers(self):
-        return tuple(
-            self.full ^ u for u in self.t.opens if self.q.up(self.full ^ u) == self.full ^ u
-        )
-
-    @cached_property
-    def closed_lowers(self):
-        return tuple(
-            self.full ^ u for u in self.t.opens if self.q.down(self.full ^ u) == self.full ^ u
-        )
-
-    @cached_property
-    def hM_upper(self):
-        """Smallest closed upper set containing the minimal open upper
-        neighborhood, per point."""
-        out = []
-        for x in range(self.n):
-            m = self.full
-            for b in self.closed_uppers:
-                if self.Mup[x] & ~b == 0:
-                    m &= b
-            out.append(m)
-        return tuple(out)
-
-    @cached_property
-    def hM_lower(self):
-        out = []
-        for x in range(self.n):
-            m = self.full
-            for b in self.closed_lowers:
-                if self.Mdown[x] & ~b == 0:
-                    m &= b
-            out.append(m)
-        return tuple(out)
-
-    @cached_property
     def int_up(self):
         """Interior (ambient topology) of each principal filter; computed
         directly, so a core check on a large space builds no interior
@@ -243,13 +207,16 @@ def is_t2_ordered(tb: Tables) -> bool:
 
 def is_upper_regular(tb: Tables) -> bool:
     """Every open upper set around a point contains a closed upper set that
-    in turn contains an open upper neighborhood; the least open upper set
-    Mup[x] is the one to test."""
-    return all(h & ~u == 0 for h, u in zip(tb.hM_upper, tb.Mup))
+    in turn contains an open upper neighborhood.  The least open upper set
+    Mup[x] is the one to test, and every open upper neighborhood of x
+    contains Mup[x], so the closed upper set between them is Mup[x] itself:
+    the test is that every Mup[x], an upper set, is closed."""
+    return all(tb.full ^ m in tb.opens_set for m in tb.Mup)
 
 
 def is_lower_regular(tb: Tables) -> bool:
-    return all(h & ~d == 0 for h, d in zip(tb.hM_lower, tb.Mdown))
+    """Dually: every Mdown[x] is closed."""
+    return all(tb.full ^ m in tb.opens_set for m in tb.Mdown)
 
 
 def separation_profile(t: OrderedSpace, tables: Tables = None) -> SeparationProfile:

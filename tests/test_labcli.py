@@ -3,6 +3,8 @@ command-line surface."""
 
 import hashlib
 import json
+import multiprocessing
+import threading
 
 import pytest
 
@@ -116,19 +118,23 @@ def test_report_hash_is_stable_and_ignores_wall_time():
     assert a.wall_time != b.wall_time or a.wall_time >= 0  # excluded from hash
 
 
-def test_partitioned_run_is_order_identical():
-    for workers in (2, 4, 7):
-        a = run_suite(SuiteSpec("thm-4.6", 2), workers=1)
-        b = run_suite(SuiteSpec("thm-4.6", 2), workers=workers)
-        assert a.determinism_hash == b.determinism_hash
+def test_suite_starts_no_process_or_thread(capsys):
+    threads = threading.active_count()
+    run_suite(SuiteSpec("thm-4.6", 3), workers=2)
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+    assert main(["verify", "--suite", "thm-4.6", "--n", "3"]) == 0
+    capsys.readouterr()
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
 
 
 # ---------------------------------------------------------------- faults
 
 def test_fault_injection_produces_stable_counterexamples():
     spec = SuiteSpec("thm-4.6", 3)
-    a = run_suite(spec, workers=1, fault="sector-no-separation")
-    b = run_suite(spec, workers=4, fault="sector-no-separation")
+    a = run_suite(spec, fault="sector-no-separation")
+    b = run_suite(spec, fault="sector-no-separation")
     assert a.failures == 177
     assert a.determinism_hash == b.determinism_hash
     assert a.counterexamples[0] == b.counterexamples[0]
@@ -249,6 +255,10 @@ def test_cli_verify(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["failures"] == 0 and doc["instances"] == 4
     assert main(["verify", "--suite", "thm-0.0", "--n", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: UnknownSuite")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "thm-4.6", "--n", "2", "--workers", "2"])
+    assert exc.value.code == 2
     capsys.readouterr()
     assert main([
         "verify", "--suite", "thm-4.6", "--n", "2",
@@ -349,8 +359,8 @@ def test_cli_rejects_bad_records(tmp_path, capsys, argv, record):
     assert out == "" and err.startswith("error: ")
 
 
-# sha256 over json.dumps([instance, ok, detail], sort_keys=True) of every
-# case of a suite, first 16 hex digits; n = 3 (lattice-laws: n = 5)
+# sha256 over json.dumps([_record(instance), ok, detail], sort_keys=True) of
+# every case of a suite, first 16 hex digits; n = 3 (lattice-laws: n = 5)
 VERDICT_STREAM_PINS = {
     ("thm-3.3-roundtrip", None): "0a66121739543c5d",
     ("thm-4.6", None): "6887ce79d29c624d",
@@ -377,14 +387,18 @@ def test_verdict_stream_pins():
         n = 5 if suite == "lattice-laws" else 3
         h = hashlib.sha256()
         for inst, ok, detail in labcli._suite_cases(SuiteSpec(suite, n), fault):
-            h.update(json.dumps([inst, ok, detail], sort_keys=True).encode())
+            h.update(json.dumps(
+                [labcli._record(inst), ok, detail], sort_keys=True
+            ).encode())
         assert h.hexdigest()[:16] == pin, (suite, fault)
 
 
 def test_lattice_laws_n6_verdict_stream_pin():
     h = hashlib.sha256()
     for inst, ok, detail in labcli._suite_cases(SuiteSpec("lattice-laws", 6), None):
-        h.update(json.dumps([inst, ok, detail], sort_keys=True).encode())
+        h.update(json.dumps(
+            [labcli._record(inst), ok, detail], sort_keys=True
+        ).encode())
     assert h.hexdigest() == (
         "754d96d712eb6ac3a86dfdf25cd5676e51d400b4d0631637ee73928d5bde0164"
     )

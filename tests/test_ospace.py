@@ -474,11 +474,12 @@ def _check_against_scans(s):
     for zeta in ("upsilon", "sigma", "alpha"):
         cotop = td.upset_topology(tb.q2.dual(), zeta)
         assert ospace.is_zeta_convex(tb, zeta) == _cotopology_convex_scan(tb, cotop)
+    closeds = [tb.full ^ o for o in tb.t.opens]
     assert ospace.is_upper_regular(tb) == _regular_scan(
-        tb, tb.upper_opens, tb.closed_uppers
+        tb, tb.upper_opens, [c for c in closeds if tb.q.up(c) == c]
     )
     assert ospace.is_lower_regular(tb) == _regular_scan(
-        tb, tb.lower_opens, tb.closed_lowers
+        tb, tb.lower_opens, [c for c in closeds if tb.q.down(c) == c]
     )
     assert ospace._is_weak_patch_of(tb, lambda _tb: True) == _weak_patch_scan(tb)
     for pred in (
