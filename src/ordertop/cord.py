@@ -7,7 +7,6 @@ R-density and cardinal invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import latid, ospace
 from . import topoderive as td
@@ -26,10 +25,6 @@ from .finstruct import (
     unions_of,
     validate_topology,
 )
-
-OPERATOR_SCAN_CAP = 5  # carrier size for the operator-equation conditions
-BASE_SEARCH_CAP = 6  # carrier size for minimal-base searches
-
 
 # ------------------------------------------------------------ C-quasi-orders
 
@@ -222,11 +217,10 @@ def core_space_profile(s: Topology) -> CoreProfile:
 def _interior_preserves_upper_unions(s: Topology, q: Qoset) -> bool:
     """int(union of upper sets) = union of interiors; since every upper set
     is the union of the cores of its points, the family identity holds iff
-    int(Z) = union{int(core(y)) : y in Z} for every upper set Z."""
-    if s.n > OPERATOR_SCAN_CAP:
-        raise ValidationError("SizeCapExceeded", ("interior-upper-unions", s.n))
+    int(Z) = union{int(core(y)) : y in Z} for every upper set Z.  The upper
+    sets of the specialization are the opens."""
     ints = [td.interior(s, q.leq[y]) for y in range(s.n)]
-    for z in q.upper_sets():
+    for z in s.opens:
         m = 0
         for y in bits(z):
             m |= ints[y]
@@ -238,12 +232,11 @@ def _interior_preserves_upper_unions(s: Topology, q: Qoset) -> bool:
 def _closure_preserves_lower_intersections(s: Topology, q: Qoset) -> bool:
     """cl(intersection of lower sets) = intersection of closures; every lower
     set is the intersection of the filter-complements X minus core(y) over
-    the points y outside it, which folds the family identity per lower set."""
-    if s.n > OPERATOR_SCAN_CAP:
-        raise ValidationError("SizeCapExceeded", ("closure-lower-intersections", s.n))
+    the points y outside it, which folds the family identity per lower set.
+    The lower sets of the specialization are the closeds."""
     full = s.full
     cls = [td.closure(s, full ^ q.leq[y]) for y in range(s.n)]
-    for z in q.lower_sets():
+    for z in s.closeds():
         m = full
         for y in bits(full ^ z):
             m &= cls[y]
@@ -260,12 +253,14 @@ def core_basis_check(s: Topology, bmask) -> bool:
 
 
 def minimal_core_basis(s: Topology) -> int:
-    for size in range(s.n + 1):
-        for combo in combinations(range(s.n), size):
-            b = mask_of(combo)
-            if core_basis_check(s, b):
-                return b
-    raise AssertionError("the whole carrier is a core basis of a finite space")
+    """The lexicographically least core basis of least size.  At x a core
+    basis needs some b in M[x] with x in the interior of the core M[b], that
+    is b equivalent to x; so it meets every specialization class (the points
+    with one M row), and the least point of each class is the answer."""
+    least = {}
+    for x, row in enumerate(s.M):
+        least.setdefault(row, x)
+    return mask_of(least.values())
 
 
 # ------------------------------------------------------------ density
@@ -291,17 +286,6 @@ def r_cofinal(r: BinaryRelation, bmask) -> bool:
         for x in range(r.n)
         for y in range(r.n)
     )
-
-
-def cofinality(r: BinaryRelation):
-    """Minimal cardinality of an R-cofinal subset, with the lexicographically
-    least witness of that size."""
-    for size in range(r.n + 1):
-        for combo in combinations(range(r.n), size):
-            b = mask_of(combo)
-            if r_cofinal(r, b):
-                return size, b
-    raise AssertionError("the whole carrier is R-cofinal")
 
 
 # ------------------------------------------------------------ invariants
@@ -343,16 +327,9 @@ def _union_of(masks) -> int:
 
 
 def minimal_topology_base(t: Topology):
-    """Smallest subfamily of opens from which every open is a union."""
-    opens = list(t.opens)
-    for size in range(len(opens) + 1):
-        for combo in combinations(range(len(opens)), size):
-            chosen = [opens[i] for i in combo]
-            if all(
-                _union_of(b for b in chosen if b & ~u == 0) == u for u in opens
-            ):
-                return tuple(chosen)
-    raise AssertionError("the full family is a base")
+    """Smallest subfamily of opens from which every open is a union: every
+    base contains each minimal neighborhood M[x], and those form a base."""
+    return tuple(sorted(set(t.M)))
 
 
 @dataclass(frozen=True)
@@ -374,24 +351,21 @@ class InvariantBundle:
 
 
 def cardinal_invariants(s: Topology) -> InvariantBundle:
-    if s.n > BASE_SEARCH_CAP:
-        raise ValidationError("SizeCapExceeded", ("cardinal-invariants", s.n))
-    r = interior_relation(s)
-    c, c_witness = cofinality(r)
+    """Each invariant with its least witness, read off the minimal
+    neighborhoods: c by the least core basis, which is also least R-cofinal;
+    w_closed by the distinct point closures, the join-irreducible closeds."""
+    c_witness = minimal_core_basis(s)
     w_open_witness = minimal_topology_base(s)
-    closed_lat = latid.closed_lattice(s)
-    closeds = sorted(s.closeds())
-    wres = latid.min_join_dense(closed_lat)
-    w_closed_witness = tuple(closeds[i] for i in wres.witness)
+    w_closed_witness = tuple(sorted(set(td.specialization(s).geq)))
     patch_topology = td.patch(s, "upsilon").topology
     w_patch_witness = minimal_topology_base(patch_topology)
     d_patch, d_patch_witness = _minimal_dense(patch_topology)
     if prop_9_1_conditions(s, c_witness) != (True,) * 5:
         raise ValidationError("InvariantDisagreement", (c_witness,))
     return InvariantBundle(
-        c=c,
+        c=c_witness.bit_count(),
         w_open=len(w_open_witness),
-        w_closed=wres.weight,
+        w_closed=len(w_closed_witness),
         w_patch=len(w_patch_witness),
         d_patch=d_patch,
         c_witness=c_witness,
@@ -403,11 +377,9 @@ def cardinal_invariants(s: Topology) -> InvariantBundle:
 
 
 def _minimal_dense(t: Topology):
-    """Minimal subset meeting every nonempty open."""
-    nonempty = [u for u in t.opens if u]
-    for size in range(t.n + 1):
-        for combo in combinations(range(t.n), size):
-            d = mask_of(combo)
-            if all(d & u for u in nonempty):
-                return size, d
-    raise AssertionError("the carrier is dense")
+    """Minimal subset meeting every nonempty open.  The minimal nonempty
+    opens are the inclusion-minimal M rows and are pairwise disjoint, so
+    the least point (lowest bit) of each is the least such subset."""
+    rows = set(t.M)
+    minimal = [r for r in rows if not any(o != r and o & ~r == 0 for o in rows)]
+    return len(minimal), _union_of(r & -r for r in minimal)

@@ -198,6 +198,8 @@ class Topology:
     def full(self) -> int:
         return (1 << self.n) - 1
 
+    # a cached_property, not a memo_property: inner loops re-read M, and
+    # after the first access it is a plain instance attribute
     @cached_property
     def M(self) -> tuple:
         """Minimal open neighborhood per point."""

@@ -27,6 +27,7 @@ from .finstruct import (
     Topology,
     ValidationError,
     bits,
+    check_carrier,
     decode,
     encode,
     generate_topology,
@@ -187,9 +188,10 @@ def _meet_posets(n):
 
 def enumerate_instances(kind, n):
     """Deterministic lexicographic stream of canonical instances."""
+    check_carrier(n)
     if kind not in BOUNDS:
         raise ValidationError("UnknownKind", (kind,))
-    if n < 0 or n > BOUNDS[kind]:
+    if n > BOUNDS[kind]:
         raise ValidationError("BoundTooLarge", (kind, n))
     if kind == "qoset":
         return [Qoset(n, rows) for rows in qosets(n)]
@@ -318,10 +320,10 @@ def _suite_cases(spec: SuiteSpec, fault=None):
             yield s, ok, None
     elif s_id in ("thm-4.6", "thm-5.3"):
         tops = enumerate_instances("topology", n)
-        orders = posets(n)
+        orders = [Qoset(n, rows) for rows in posets(n)]
         for t in tops:
-            for rows in orders:
-                sp = OrderedSpace(Qoset(n, rows), t)
+            for q in orders:
+                sp = OrderedSpace(q, t)
                 tb = ospace.Tables(sp)
                 if s_id == "thm-4.6":
                     vec = ospace.thm_4_6_sides(tb)
@@ -466,6 +468,7 @@ def run_suite(spec: SuiteSpec, workers: int = 1, fault: str | None = None) -> Re
     """Evaluate a suite in enumeration order, in this process.  `workers` is
     ignored: it is accepted only because existing callers pass it.  Only
     counterexamples are encoded."""
+    check_carrier(spec.n)
     if fault is not None and FAULTS.get(fault) != spec.suite:
         raise ValidationError("UnknownFault", (fault, spec.suite))
     start = time.monotonic()

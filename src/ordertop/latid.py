@@ -42,7 +42,6 @@ from .finstruct import (
     transpose,
     validate_lattice,
 )
-from .topoderive import directed_subsets
 
 LAWS = (
     "frame",
@@ -205,24 +204,16 @@ def _superway_join_test(lat: Lattice):
 
 def below_relation(lat: Lattice, kind: str) -> BinaryRelation:
     """way-below: x << y iff every directed set whose join dominates y meets
-    the principal filter of x.  superway: x sw y iff x lies in the down-closure
-    of every subset whose join dominates y."""
+    the principal filter of x; a finite directed set contains its join, so
+    this is the order.  superway: x sw y iff x lies in the down-closure of
+    every subset whose join dominates y."""
     n = lat.n
-    q = lat.poset()
     if kind == "way-below":
-        rows = [(1 << n) - 1] * n
-        for d in directed_subsets(q):
-            join = lat.join_of(d)
-            if not _is_join_of(lat, q, d, join):
-                continue
-            dominated = q.geq[join]
-            for x in range(n):
-                if not q.leq[x] & d:
-                    rows[x] &= ~dominated
-        return BinaryRelation(n, tuple(rows))
+        return BinaryRelation(n, lat.leq)
     if kind == "superway":
         # x sw y iff y is not below the join of the complement of the
         # principal filter of x (the complement is the critical subset)
+        q = lat.poset()
         full = (1 << n) - 1
         rows = []
         for x in range(n):
@@ -230,13 +221,6 @@ def below_relation(lat: Lattice, kind: str) -> BinaryRelation:
             rows.append(full ^ q.geq[j])
         return BinaryRelation(n, tuple(rows))
     raise ValidationError("UnknownKind", (kind,))
-
-
-def _is_join_of(lat: Lattice, q, d, join) -> bool:
-    ub = (1 << lat.n) - 1
-    for x in bits(d):
-        ub &= q.leq[x]
-    return q.leq[join] == ub and ub >> join & 1
 
 
 # ------------------------------------------------------------ coprimes

@@ -17,7 +17,6 @@ rows of the ambient topology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import topoderive as td
 from .finstruct import (
@@ -27,9 +26,9 @@ from .finstruct import (
     ValidationError,
     bits,
     is_directed,
+    memo_property,
     min_neighborhoods,
     subsets_of,
-    transpose,
     unions_of,
 )
 
@@ -48,81 +47,81 @@ class Tables:
         self.opens_set = set(self.t.opens)
         self.M = self.t.M  # shared by every ordering of one topology
 
-    @cached_property
+    @memo_property
     def int_of(self):
         return interior_table_of(self.t)
 
-    @cached_property
+    @memo_property
     def upper_opens(self):
         return tuple(u for u in self.t.opens if self.q.up(u) == u)
 
-    @cached_property
+    @memo_property
     def lower_opens(self):
         return tuple(u for u in self.t.opens if self.q.down(u) == u)
 
-    @cached_property
+    @memo_property
     def upper_space(self) -> Topology:
         return Topology(self.n, self.upper_opens)
 
-    @cached_property
+    @memo_property
     def lower_space(self) -> Topology:
         return Topology(self.n, self.lower_opens)
 
-    @cached_property
+    @memo_property
     def Mup(self):
         """Minimal open upper neighborhood per point (the specialization row
         of the upper space); read off the upper opens, since most spaces
         need no upper-space Topology."""
         return min_neighborhoods(self.n, self.upper_opens)
 
-    @cached_property
+    @memo_property
     def Mdown(self):
         return min_neighborhoods(self.n, self.lower_opens)
 
-    @cached_property
+    @memo_property
     def q2(self) -> Qoset:
         """Specialization qoset of the upper space."""
         return Qoset(self.n, self.Mup)
 
-    @cached_property
+    @memo_property
     def int_up(self):
         """Interior (ambient topology) of each principal filter; computed
         directly, so a core check on a large space builds no interior
         table."""
         return tuple(td.interior(self.t, row) for row in self.q.leq)
 
-    @cached_property
+    @memo_property
     def int_upper_of(self):
         return interior_table_of(self.upper_space)
 
-    @cached_property
+    @memo_property
     def int_lower_of(self):
         return interior_table_of(self.lower_space)
 
-    @cached_property
+    @memo_property
     def int_up_upper(self):
         """Interior w.r.t. the upper topology of each principal filter."""
         return tuple(self.int_upper_of[self.q.leq[u]] for u in range(self.n))
 
-    @cached_property
+    @memo_property
     def upper_tables(self) -> "Tables":
         """Tables of the upper space, ordered by its specialization q2."""
         return Tables(OrderedSpace(self.q2, self.upper_space))
 
-    @cached_property
+    @memo_property
     def upsilon_dual(self) -> Topology:
         """Weak topology of the dual of the upper-space specialization."""
         return td.weak_upper(self.q2.dual())
 
-    @cached_property
+    @memo_property
     def directed(self):
         return td.directed_subsets(self.q)
 
-    @cached_property
+    @memo_property
     def filtered(self):
         return td.filtered_subsets(self.q)
 
-    @cached_property
+    @memo_property
     def upper_sets(self):
         return self.q.upper_sets()
 
@@ -166,7 +165,7 @@ class SeparationProfile:
 def is_lower_semi_qospace(tb: Tables) -> bool:
     """All principal ideals are closed."""
     return all(
-        tb.full ^ tb.q.down(1 << x) in tb.opens_set for x in range(tb.n)
+        tb.full ^ tb.q.geq[x] in tb.opens_set for x in range(tb.n)
     )
 
 
@@ -535,26 +534,11 @@ def web_profile(t: OrderedSpace, tables: Tables = None) -> WebProfile:
 # ---------------------------------------------------------------- domains
 
 def is_domain(q: Qoset) -> bool:
-    """Antisymmetric, and every directed subset has a least upper bound."""
-    if not q.is_antisymmetric():
-        return False
-    return all(td.least_upper_bounds(q, d) for d in td.directed_subsets(q))
-
-
-def is_continuous_domain(q: Qoset) -> bool:
-    """Domain in which each way-below set is directed with join the point."""
-    if not is_domain(q):
-        return False
-    wb = td.way_below_qoset(q)
-    return all(
-        is_directed(q.leq, d) and td.least_upper_bounds(q, d) >> y & 1
-        for y, d in enumerate(transpose(q.n, wb))
-    )
-
-
-def is_meet_continuous_domain(q: Qoset) -> bool:
-    """Domain whose Scott space is a web space."""
-    return is_domain(q) and is_web_space(td.scott_topology(q))
+    """Antisymmetric, and every directed subset has a least upper bound.  A
+    finite directed set has a greatest element, which is its least upper
+    bound, so a finite domain is a finite poset.  Every element of a finite
+    poset is compact, so each is continuous and meet-continuous too."""
+    return q.is_antisymmetric()
 
 
 def is_t2_space(t: Topology) -> bool:
@@ -603,11 +587,10 @@ def thm_6_2_sides(tb: Tables):
     q = tb.q
     poset = q.is_antisymmetric()
     lawson = td.lawson_topology(q) if poset else None
-    side1 = poset and is_continuous_domain(q) and tb.t == lawson
+    side1 = poset and tb.t == lawson
     side2 = is_fan_space(tb) and td.is_sober(tb.upper_space)
     side3 = (
         poset
-        and is_meet_continuous_domain(q)
         and tb.t == lawson
         and is_wedge_stable(tb)
         and is_t2_space(tb.t)
@@ -675,7 +658,6 @@ def prop_7_4_sides(tb: Tables):
     poset = q.is_antisymmetric()
     side1 = (
         poset
-        and is_continuous_domain(q)
         and tb.t == td.lawson_topology(q)
         and td.compactness(tb.t, tb.full, "compact")
     )

@@ -68,18 +68,11 @@ def least_upper_bounds(q: Qoset, mask) -> int:
 
 
 def way_below_qoset(q: Qoset):
-    """Way-below row masks on an arbitrary finite qoset: x wb y iff every
-    directed set with a least upper bound dominating y meets the filter of x."""
-    rows = [(1 << q.n) - 1] * q.n
-    for d in directed_subsets(q):
-        lubm = least_upper_bounds(q, d)
-        if not lubm:
-            continue
-        dominated = q.down(lubm)
-        for x in range(q.n):
-            if not q.leq[x] & d:
-                rows[x] &= ~dominated
-    return tuple(rows)
+    """Way-below row masks: x wb y iff every directed set with a least upper
+    bound dominating y meets the filter of x.  A finite directed set has a
+    greatest element up to equivalence, which is one of its least upper
+    bounds, so x wb y iff x <= y: the rows are the order."""
+    return q.leq
 
 
 # ----------------------------------------------------------- upset topologies
@@ -202,34 +195,18 @@ def compactness(t: Topology, c, kind: str) -> bool:
 
 # ----------------------------------------------------------- sobriety et al.
 
-def irreducible_closed(t: Topology):
-    closeds = t.closeds()
-    out = []
-    for a in closeds:
-        if a == 0:
-            continue
-        if all(a & ~(b | c) or a & ~b == 0 or a & ~c == 0
-               for b in closeds for c in closeds):
-            out.append(a)
-    return out
-
-
-def point_closures(t: Topology):
-    return {closure(t, 1 << x) for x in range(t.n)}
-
 def is_sober(t: Topology) -> bool:
-    if not t.is_t0():
-        return False
-    pts = point_closures(t)
-    return all(a in pts for a in irreducible_closed(t))
+    """T0, and every irreducible closed set is a point closure.  A finite
+    closed set is the union of the closures of its points, so an irreducible
+    one is a point closure: a finite space is sober iff it is T0."""
+    return t.is_t0()
 
 
 def is_dspace(t: Topology) -> bool:
-    if not t.is_t0():
-        return False
-    q = specialization(t)
-    pts = point_closures(t)
-    return all(closure(t, d) in pts for d in directed_subsets(q))
+    """T0, and the closure of every directed set is a point closure.  A
+    finite directed set has a greatest element up to equivalence, whose
+    closure is that of the set, so a finite space is a d-space iff it is T0."""
+    return t.is_t0()
 
 
 def cocompact(t: Topology) -> Topology:

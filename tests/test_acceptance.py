@@ -115,7 +115,7 @@ def test_criterion_06_quasi_uniformity_n3():
 def test_criterion_07_cardinal_invariants():
     start = time.monotonic()
     total = fails = 0
-    for n in range(1, 5):
+    for n in range(1, 6):
         report = run_suite(SuiteSpec("thm-9.3", n))
         total += report.instances
         fails += report.failures
@@ -209,20 +209,28 @@ def test_criterion_12_derivations_on_16_points():
     antichain = Qoset(n, tuple(1 << x for x in range(n)))
     chain = Qoset(n, tuple(full & ~((1 << x) - 1) for x in range(n)))
     discrete = Topology(n, tuple(range(full + 1)))
+    chain_space = td.alexandroff(chain)
     record = encode(discrete)
+    sixteen = (n,) * 5
+    # each derived 16-point space is discrete: 65,536 opens; each invariant
+    # of a 16-point T0 space is its number of points
     calls = [
-        ("lawson(antichain)", lambda: td.lawson_topology(antichain)),
-        ("lawson(chain)", lambda: td.lawson_topology(chain)),
-        ("patch(discrete, upsilon)", lambda: td.patch(discrete, "upsilon").topology),
-        ("decode(discrete)", lambda: decode(record)),
+        ("lawson(antichain)", lambda: td.lawson_topology(antichain), discrete),
+        ("lawson(chain)", lambda: td.lawson_topology(chain), discrete),
+        ("patch(discrete, upsilon)",
+         lambda: td.patch(discrete, "upsilon").topology, discrete),
+        ("decode(discrete)", lambda: decode(record), discrete),
+        ("invariants(chain)",
+         lambda: cord.cardinal_invariants(chain_space).values, sixteen),
+        ("invariants(antichain)",
+         lambda: cord.cardinal_invariants(discrete).values, sixteen),
     ]
     ok = True
     timings = []
-    for name, call in calls:
+    for name, call, expected in calls:
         start = time.monotonic()
         result = call()
         elapsed = time.monotonic() - start
-        # each of these 16-point spaces is discrete: 65,536 opens
-        ok = ok and result == discrete and elapsed < 5.0
+        ok = ok and result == expected and elapsed < 5.0
         timings.append(f"{name} {elapsed:.2f}s")
     _verdict(12, ok, f"{', '.join(timings)} (budget 5s per call)")

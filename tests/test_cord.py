@@ -2,7 +2,10 @@
 nine-way locally-supercompact profile, core bases and cardinal invariants.
 
 The core-base test and web spaces are replayed against their full-scan and
-open-lattice definitions."""
+open-lattice definitions, and each invariant witness against the subset
+scan it replaces."""
+
+from itertools import combinations
 
 import pytest
 
@@ -14,6 +17,7 @@ from ordertop.finstruct import (
     Topology,
     ValidationError,
     bits,
+    mask_of,
 )
 from ordertop.labcli import posets, topologies
 
@@ -214,8 +218,23 @@ def test_r_dense_and_cofinal_coincide_for_interior_relations():
             assert cord.r_dense(rel, b) == cord.r_cofinal(rel, b)
 
 
+def _least_point_set(n, pred):
+    """Least size of a point set satisfying pred, with the lexicographically
+    least witness of that size, by a scan over the subsets of each size."""
+    for size in range(n + 1):
+        for combo in combinations(range(n), size):
+            b = mask_of(combo)
+            if pred(b):
+                return size, b
+    raise AssertionError("no point set qualifies")
+
+
+def _cofinality_scan(r):
+    return _least_point_set(r.n, lambda b: cord.r_cofinal(r, b))
+
+
 def test_cofinality_of_sierpinski():
-    size, mask = cord.cofinality(cord.interior_relation(SIER))
+    size, mask = _cofinality_scan(cord.interior_relation(SIER))
     assert size == 2 and mask == 0b11
 
 
@@ -246,6 +265,51 @@ def test_cardinal_invariants_examples():
     assert cord.cardinal_invariants(Topology(2, (0, 3))).values == (1, 1, 1, 1, 1)
     disc3 = Topology(3, tuple(range(8)))
     assert cord.cardinal_invariants(disc3).values == (3, 3, 3, 3, 3)
+
+
+def _minimal_base_scan(t):
+    """Smallest subfamily of opens of which every open is a union, the
+    lexicographically least of that size."""
+    opens = list(t.opens)
+    for size in range(len(opens) + 1):
+        for chosen in combinations(opens, size):
+            if all(
+                cord._union_of(b for b in chosen if b & ~u == 0) == u
+                for u in opens
+            ):
+                return chosen
+    raise AssertionError("the full family is a base")
+
+
+def test_invariant_witnesses_match_subset_scans():
+    for s in ALL_TOPS_TO_4:
+        inv = cord.cardinal_invariants(s)
+        c, c_witness = _cofinality_scan(cord.interior_relation(s))
+        assert (inv.c, inv.c_witness) == (c, c_witness)
+        assert (c, cord.minimal_core_basis(s)) == _least_point_set(
+            s.n, lambda b: cord.core_basis_check(s, b)
+        )
+        assert inv.w_open_witness == _minimal_base_scan(s)
+        closeds = sorted(s.closeds())
+        weight = latid.min_join_dense(latid.closed_lattice(s))
+        assert inv.w_closed == weight.weight
+        assert inv.w_closed_witness == tuple(closeds[i] for i in weight.witness)
+        patch = td.patch(s, "upsilon").topology
+        assert inv.w_patch_witness == _minimal_base_scan(patch)
+        assert (inv.d_patch, inv.d_patch_witness) == _least_point_set(
+            s.n, lambda d: all(d & u for u in patch.opens if u)
+        )
+
+
+def test_profile_and_invariants_past_the_old_scan_caps():
+    # the 6-point chain has 7 opens; the operator scans run over them
+    chain6 = td.alexandroff(
+        Qoset(6, tuple(0b111111 & ~((1 << x) - 1) for x in range(6)))
+    )
+    assert len(chain6.opens) == 7
+    prof = cord.core_space_profile(chain6)
+    assert prof.agreement and all(prof.flags)
+    assert cord.cardinal_invariants(chain6).values == (6,) * 5
 
 
 def test_cardinal_invariants_equal_specialization_class_count():

@@ -69,8 +69,11 @@ def test_topology_search_step_matches_frontier_closure():
 
 
 def test_t0_topology_count_equals_poset_count():
-    for n in range(5):
+    for n in range(1, 5):
         assert len(enumerate_instances("t0-topology", n)) == len(labcli.posets(n))
+    with pytest.raises(ValidationError) as err:
+        enumerate_instances("t0-topology", 0)
+    assert err.value.code == "BadCarrier"
 
 
 def test_lattice_counts():
@@ -248,6 +251,19 @@ def test_cli_enumerate(tmp_path, capsys):
     assert len(lines) == 4
     assert main(["enumerate", "--kind", "topology", "--n", "9"]) == 2
     assert "BoundTooLarge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", labcli.SUITES)
+def test_every_suite_refuses_the_empty_carrier(suite):
+    with pytest.raises(ValidationError) as err:
+        run_suite(SuiteSpec(suite, 0))
+    assert (err.value.code, err.value.witness) == ("BadCarrier", (0,))
+
+
+def test_cli_enumerate_refuses_the_empty_carrier(capsys):
+    assert main(["enumerate", "--kind", "topology", "--n", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "BadCarrier(0,)" in captured.err
 
 
 def test_cli_verify(capsys):

@@ -211,9 +211,28 @@ def test_unknown_law():
 
 # ---------------------------------------------------------------- relations
 
+def _way_below_scan(lat):
+    """x << y iff every directed set whose join dominates y meets the
+    principal filter of x, scanned over all subsets."""
+    n = lat.n
+    q = lat.poset()
+    rows = [(1 << n) - 1] * n
+    for d in range(1, 1 << n):
+        if not is_directed(q.leq, d):
+            continue
+        dominated = q.geq[lat.join_of(d)]
+        for x in range(n):
+            if not q.leq[x] & d:
+                rows[x] &= ~dominated
+    return tuple(rows)
+
+
 def test_way_below_equals_order_on_finite_lattices():
-    for lat in ALL_LATTICES_5[:100]:
+    up_to_6 = UP_TO_5 + lattices(6)
+    assert len(up_to_6) == 6815
+    for lat in up_to_6:
         assert latid.below_relation(lat, "way-below").rel == lat.leq
+        assert _way_below_scan(lat) == lat.leq
 
 
 def _superway_oracle(lat):

@@ -15,7 +15,9 @@ from ordertop.finstruct import (
     ValidationError,
     bits,
     generate_topology,
+    is_directed,
     subsets_of,
+    transpose,
 )
 from ordertop.labcli import qosets, topologies
 
@@ -252,17 +254,62 @@ def test_sector_implies_upsilon_sector_implies_fan():
 
 # ---------------------------------------------------------------- domains
 
+def _way_below_scan(q):
+    """x wb y iff every directed set with a least upper bound dominating y
+    meets the filter of x, scanned over the directed subsets."""
+    rows = [(1 << q.n) - 1] * q.n
+    for d in td.directed_subsets(q):
+        lubm = td.least_upper_bounds(q, d)
+        if not lubm:
+            continue
+        dominated = q.down(lubm)
+        for x in range(q.n):
+            if not q.leq[x] & d:
+                rows[x] &= ~dominated
+    return tuple(rows)
+
+
+def _domain_scan(q):
+    """Antisymmetric, and every directed subset has a least upper bound."""
+    return q.is_antisymmetric() and all(
+        td.least_upper_bounds(q, d) for d in td.directed_subsets(q)
+    )
+
+
+def _continuous_domain_scan(q):
+    """Domain in which each way-below set is directed with join the point."""
+    cols = transpose(q.n, _way_below_scan(q))
+    return _domain_scan(q) and all(
+        is_directed(q.leq, d) and td.least_upper_bounds(q, d) >> y & 1
+        for y, d in enumerate(cols)
+    )
+
+
+def _meet_continuous_domain_scan(q):
+    """Domain whose Scott space is a web space."""
+    return _domain_scan(q) and ospace.is_web_space(td.scott_topology(q))
+
+
+ALL_QOSETS_TO_4 = [Qoset(n, rows) for n in range(1, 5) for rows in qosets(n)]
+
+
+def test_way_below_matches_directed_scan():
+    assert len(ALL_QOSETS_TO_4) == 389
+    for q in ALL_QOSETS_TO_4:
+        assert td.way_below_qoset(q) == _way_below_scan(q)
+
+
 def test_domain_predicates():
     assert ospace.is_domain(CHAIN3)
     assert ospace.is_domain(DIAMOND4)
     assert not ospace.is_domain(Qoset(2, (0b11, 0b11)))  # not antisymmetric
     # in finite posets the way-below sets are the principal ideals, so
     # every finite domain is continuous and meet-continuous
-    for rows in qosets(3):
-        q = Qoset(3, rows)
-        if ospace.is_domain(q):
-            assert ospace.is_continuous_domain(q)
-            assert ospace.is_meet_continuous_domain(q)
+    for q in ALL_QOSETS_TO_4:
+        domain = ospace.is_domain(q)
+        assert domain == _domain_scan(q)
+        assert domain == _continuous_domain_scan(q)
+        assert domain == _meet_continuous_domain_scan(q)
 
 
 def test_t2_space():

@@ -189,6 +189,42 @@ def test_finite_t0_spaces_are_sober_and_dspaces():
             assert td.is_dspace(s)
 
 
+def _point_closures(t):
+    return {td.closure(t, 1 << x) for x in range(t.n)}
+
+
+def _sober_scan(t):
+    """T0, and every irreducible closed set (nonempty, and inside one of
+    any two closed sets that cover it) is a point closure."""
+    closeds = t.closeds()
+    pts = _point_closures(t)
+    return t.is_t0() and all(
+        a in pts
+        for a in closeds
+        if a and all(
+            a & ~(b | c) or a & ~b == 0 or a & ~c == 0
+            for b in closeds for c in closeds
+        )
+    )
+
+
+def _dspace_scan(t):
+    """T0, and the closure of every directed set is a point closure."""
+    pts = _point_closures(t)
+    q = td.specialization(t)
+    return t.is_t0() and all(
+        td.closure(t, d) in pts for d in td.directed_subsets(q)
+    )
+
+
+def test_sober_and_dspace_match_closed_set_scans():
+    tops = [Topology(n, opens) for n in range(1, 5) for opens in topologies(n)]
+    assert len(tops) == 389
+    for s in tops:
+        assert td.is_sober(s) == _sober_scan(s)
+        assert td.is_dspace(s) == _dspace_scan(s)
+
+
 def test_cocompact_of_sierpinski():
     assert td.cocompact(SIER).opens == (0, 1, 3)
 
