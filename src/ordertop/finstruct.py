@@ -263,7 +263,15 @@ class Lattice:
         return Qoset(self.n, self.leq)
 
     def dual(self) -> "Lattice":
-        return Lattice(self.n, transpose(self.n, self.leq), self.join, self.meet)
+        """The order-dual lattice; one object per lattice, whose own dual is
+        this lattice."""
+        return self._dual
+
+    @memo_property
+    def _dual(self) -> "Lattice":
+        dual = Lattice(self.n, transpose(self.n, self.leq), self.join, self.meet)
+        dual.__dict__["_dual"] = self
+        return dual
 
     def join_of(self, mask) -> int:
         """Join of a subset mask (empty join = bottom)."""

@@ -14,6 +14,7 @@ import random
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 
 from . import __version__, cord, latid, morphcat, ospace
 from . import topoderive as td
@@ -34,7 +35,6 @@ from .finstruct import (
     mask_of,
     parse_json,
     point_masks,
-    transpose,
     validate_lattice,
 )
 
@@ -167,19 +167,61 @@ def topologies(n):
 
 
 def lattices(n):
-    """All labeled lattices on n points, via the bounded posets."""
-    out = []
-    full = (1 << n) - 1
-    for rows in posets(n):
-        if not any(r == full for r in rows):
-            continue
-        if not any(c == full for c in transpose(n, rows)):
-            continue
+    """All labeled lattices on n points, ascending by row tuple: the
+    relabelled copies of every representative of `_lattice_classes`."""
+    return sorted(
+        (lat for _rep, copies in _lattice_classes(n) for lat in copies),
+        key=lambda lat: lat.leq,
+    )
+
+
+def _lattice_classes(n):
+    """The labeled lattices on n points as a list of (representative,
+    copies).
+
+    A lattice on n >= 2 points has a bottom b and a top t != b.  Deleting
+    them and renumbering the other points in their order leaves a poset P
+    on 0..n-3, so the lattice is, in exactly one way, the relabelling for
+    (b, t) of the representative: P with the bottom n-2 and the top n-1
+    added.  Each representative is validated once; its n(n-1) copies, one
+    per (b, t), are its tables relabelled."""
+    if n < 2:
+        # one point is its own bottom and top; no lattice is empty
+        one = validate_lattice(1, (1,))
+        return [(one, [one])] if n == 1 else []
+    top = 1 << n - 1
+    bounds = ((1 << n) - 1, top)
+    relabellings = [
+        _relabelling(n, [x for x in range(n) if x != b and x != t] + [b, t])
+        for b in range(n) for t in range(n) if b != t
+    ]
+    classes = []
+    for rows in posets(n - 2):
         try:
-            out.append(validate_lattice(n, rows))
+            rep = validate_lattice(n, tuple(r | top for r in rows) + bounds)
         except ValidationError:
             continue
-    return out
+        classes.append((rep, [relabel(rep) for relabel in relabellings]))
+    return classes
+
+
+def _relabelling(n, perm):
+    """The map that carries a lattice on n points along the bijection `perm`
+    (old label -> new label).  A relabelled lattice is a lattice, so nothing
+    is revalidated."""
+    pick = itemgetter(*sorted(range(n), key=perm.__getitem__))  # new -> old
+    image = [mask_of(perm[z] for z in bits(m)) for m in range(1 << n)]
+    new = perm.__getitem__
+
+    def relabel(lat):
+        return Lattice(
+            n,
+            tuple(image[row] for row in pick(lat.leq)),
+            tuple(tuple(map(new, pick(row))) for row in pick(lat.meet)),
+            tuple(tuple(map(new, pick(row))) for row in pick(lat.join)),
+        )
+
+    return relabel
 
 
 def _meet_posets(n):
@@ -425,26 +467,21 @@ def _suite_cases(spec: SuiteSpec, fault=None):
                 conds = cord.prop_9_1_conditions(s, b)
                 yield {"space": s, "basis": b}, len(set(conds)) == 1, list(conds)
     elif s_id == "lattice-laws":
+        if n > BOUNDS["lattice"]:
+            raise ValidationError("BoundTooLarge", ("lattice", n))
         for k in range(1, n + 1):
-            for lat in lattices(k):
-                verdicts = {law: latid.check_law(lat, law)[0] for law in latid.LAWS}
-                collapse = (
-                    len({
-                        verdicts["frame"], verdicts["coframe"],
-                        verdicts["distributive"],
-                        verdicts["completely-distributive"],
-                        verdicts["wide-frame"], verdicts["wide-coframe"],
-                    }) == 1
-                    and verdicts["meet-continuous"]
-                    and verdicts["continuous-lattice"]
-                )
-                ok = collapse
-                if ok and verdicts["distributive"]:
-                    ok = (
-                        latid.min_join_dense(lat).weight
-                        == latid.min_join_dense(lat.dual()).weight
-                    )
-                yield lat, ok, verdicts
+            # each labeled lattice is the copy of exactly one representative
+            # (see `_lattice_classes`) and every verdict is invariant under
+            # relabelling: decide each class once, yield its copies in order
+            classes = _lattice_classes(k)
+            cases = [_lattice_law_case(rep) for rep, _copies in classes]
+            copies = sorted(
+                ((lat, i) for i, (_rep, lats) in enumerate(classes) for lat in lats),
+                key=lambda pair: pair[0].leq,
+            )
+            for lat, i in copies:
+                ok, verdicts = cases[i]
+                yield lat, ok, dict(verdicts)
     elif s_id == "count-crosscheck":
         for k in range(n + 1):
             a = len(topologies(k))
@@ -452,6 +489,29 @@ def _suite_cases(spec: SuiteSpec, fault=None):
             yield {"n": k}, a == b, [a, b]
     else:
         raise ValidationError("UnknownSuite", (s_id,))
+
+
+def _lattice_law_case(lat):
+    """(ok, verdicts) of one lattice: the six distributivity laws agree,
+    meet-continuity and continuity hold, and a distributive lattice has the
+    weight of its dual."""
+    verdicts = {law: latid.check_law(lat, law)[0] for law in latid.LAWS}
+    ok = (
+        len({
+            verdicts["frame"], verdicts["coframe"],
+            verdicts["distributive"],
+            verdicts["completely-distributive"],
+            verdicts["wide-frame"], verdicts["wide-coframe"],
+        }) == 1
+        and verdicts["meet-continuous"]
+        and verdicts["continuous-lattice"]
+    )
+    if ok and verdicts["distributive"]:
+        ok = (
+            latid.min_join_dense(lat).weight
+            == latid.min_join_dense(lat.dual()).weight
+        )
+    return ok, verdicts
 
 
 def _record(inst) -> str:

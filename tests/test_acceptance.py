@@ -145,11 +145,11 @@ def test_criterion_08_lattice_law_collapse():
         and report.determinism_hash == LATTICE_LAWS_N6_HASH
         and not ok_m3 and wit_m3 == (1, (2, 3))
         and not ok_n5 and wit_n5 == (3, 1, 2)
-        and elapsed < 15.0
+        and elapsed < 3.0
     )
     _verdict(8, ok, f"{report.instances} lattices through 6 elements, "
                     f"{report.failures} failures, witnesses {wit_m3}/{wit_n5}, "
-                    f"{elapsed:.2f}s (budget 15s)")
+                    f"{elapsed:.2f}s (budget 3s)")
 
 
 THM_8_4_N4_HASH = "7b5dffcc6ad93db9e64ad9f45520db32e6db91b9b93459222bcb9669f014a592"

@@ -152,6 +152,19 @@ def test_lattice_fold_operations():
     assert m3.dual().bottom == 4
 
 
+def test_lattice_dual_is_one_object_whose_dual_is_the_lattice():
+    rows = (0b11111, 0b10010, 0b10100, 0b11000, 0b10000)
+    m3 = validate_lattice(5, rows)
+    dual = m3.dual()
+    assert m3.dual() is dual
+    assert dual.dual() is m3
+    # the memo changes neither field equality nor hashing
+    fresh = Lattice(5, transpose(5, rows), m3.join, m3.meet)
+    assert dual == fresh and hash(dual) == hash(fresh)
+    assert m3 == validate_lattice(5, rows)
+    assert hash(m3) == hash(validate_lattice(5, rows))
+
+
 def test_ordered_space_carrier_mismatch():
     with pytest.raises(ValidationError) as err:
         OrderedSpace(CHAIN3, SIER)

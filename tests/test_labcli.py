@@ -16,6 +16,8 @@ from ordertop.finstruct import (
     ValidationError,
     encode,
     generate_topology,
+    transpose,
+    validate_lattice,
 )
 from ordertop.labcli import (
     FAULTS,
@@ -76,8 +78,43 @@ def test_t0_topology_count_equals_poset_count():
     assert err.value.code == "BadCarrier"
 
 
+def _bounded_poset_lattices(n):
+    """The labeled lattices on n points by filtering every labeled poset:
+    keep the bounded ones that validate as lattices.  The oracle for
+    `labcli.lattices`."""
+    full = (1 << n) - 1
+    out = []
+    for rows in labcli.posets(n):
+        if full not in rows or full not in transpose(n, rows):
+            continue
+        try:
+            out.append(validate_lattice(n, rows))
+        except ValidationError:
+            continue
+    return out
+
+
 def test_lattice_counts():
     assert [len(labcli.lattices(n)) for n in range(1, 6)] == [1, 2, 6, 36, 380]
+    assert len(labcli.lattices(6)) == 6390
+
+
+def test_lattices_equal_the_bounded_poset_filter():
+    # order and meet/join tables included
+    for n in range(7):
+        assert labcli.lattices(n) == _bounded_poset_lattices(n), n
+
+
+def test_lattice_classes_are_relabelled_representatives():
+    for n in range(1, 7):
+        for rep, copies in labcli._lattice_classes(n):
+            assert rep in copies
+            if n >= 2:
+                assert (rep.bottom, rep.top) == (n - 2, n - 1)
+                # one copy per (bottom, top) pair
+                assert len({(lat.bottom, lat.top) for lat in copies}) == n * (n - 1)
+            for lat in copies:
+                assert lat == validate_lattice(n, lat.leq)
 
 
 def test_enumeration_bounds_and_kinds():
@@ -121,9 +158,46 @@ def test_report_hash_is_stable_and_ignores_wall_time():
     assert a.wall_time != b.wall_time or a.wall_time >= 0  # excluded from hash
 
 
+def _lattice_law_oracle(lat):
+    """(ok, verdicts) of the lattice-laws suite, decided on the labeled
+    lattice itself."""
+    verdicts = {law: latid.check_law(lat, law)[0] for law in latid.LAWS}
+    always = ("meet-continuous", "continuous-lattice")
+    ok = (
+        len({verdicts[law] for law in latid.LAWS if law not in always}) == 1
+        and all(verdicts[law] for law in always)
+    )
+    if ok and verdicts["distributive"]:
+        ok = (
+            latid.min_join_dense(lat).weight
+            == latid.min_join_dense(lat.dual()).weight
+        )
+    return ok, verdicts
+
+
+def test_lattice_laws_class_verdicts_equal_labeled_verdicts():
+    expected = [
+        (lat, *_lattice_law_oracle(lat))
+        for k in range(1, 6) for lat in _bounded_poset_lattices(k)
+    ]
+    assert len(expected) == 425
+    assert list(labcli._suite_cases(SuiteSpec("lattice-laws", 5))) == expected
+
+
+def test_lattice_laws_refuses_n_beyond_the_lattice_bound(capsys):
+    n = labcli.BOUNDS["lattice"] + 1
+    with pytest.raises(ValidationError) as err:
+        run_suite(SuiteSpec("lattice-laws", n))
+    assert err.value.code == "BoundTooLarge"
+    assert main(["verify", "--suite", "lattice-laws", "--n", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: BoundTooLarge")
+
+
 def test_suite_starts_no_process_or_thread(capsys):
     threads = threading.active_count()
     run_suite(SuiteSpec("thm-4.6", 3), workers=2)
+    run_suite(SuiteSpec("lattice-laws", 5), workers=1)
     assert multiprocessing.active_children() == []
     assert threading.active_count() == threads
     assert main(["verify", "--suite", "thm-4.6", "--n", "3"]) == 0
