@@ -360,8 +360,6 @@ def cardinal_invariants(s: Topology) -> InvariantBundle:
     patch_topology = td.patch(s, "upsilon").topology
     w_patch_witness = minimal_topology_base(patch_topology)
     d_patch, d_patch_witness = _minimal_dense(patch_topology)
-    if prop_9_1_conditions(s, c_witness) != (True,) * 5:
-        raise ValidationError("InvariantDisagreement", (c_witness,))
     return InvariantBundle(
         c=c_witness.bit_count(),
         w_open=len(w_open_witness),

@@ -80,14 +80,22 @@ def test_criterion_03_sector_and_fan_sweep_n4():
                     f"{elapsed:.2f}s (budget 300s)")
 
 
+THM_6_2_N5_HASH = "96b559ec8cc9bf2b690a578d7ae569d1cc63c14c6118b62ce763b1e93e16b918"
+
+
 def test_criterion_04_domain_bundle_through_n5():
     total = fails = 0
     for n in range(1, 6):
-        report = run_suite(SuiteSpec("thm-6.2", n, seed=0, sample=1000))
+        report = run_suite(SuiteSpec("thm-6.2", n))
         total += report.instances
         fails += report.failures
-    _verdict(4, fails == 0, f"{total} instances across n=1..5 "
-                            f"(n=5 sampled 1000, seed 0), {fails} failures")
+    ok = (
+        fails == 0
+        and (report.instances, report.passes, report.failures) == (4231, 4231, 0)
+        and report.determinism_hash == THM_6_2_N5_HASH
+    )
+    _verdict(4, ok, f"{total} instances across n=1..5, exhaustive "
+                    f"({report.instances} posets at n=5), {fails} failures")
 
 
 def test_criterion_05_locally_supercompact_profile_n4():

@@ -260,6 +260,25 @@ def test_prop_9_1_conditions_agree_for_every_subset():
             assert len(set(conds)) == 1
 
 
+def _sixteen_point_spaces():
+    """The Alexandroff spaces of the 16-point chain and antichain (the
+    latter is the discrete space), and the indiscrete space."""
+    n = 16
+    full = (1 << n) - 1
+    chain = Qoset(n, tuple(full & ~((1 << x) - 1) for x in range(n)))
+    antichain = Qoset(n, tuple(1 << x for x in range(n)))
+    discrete = td.alexandroff(antichain)
+    assert discrete == Topology(n, tuple(range(full + 1)))
+    return [td.alexandroff(chain), discrete, Topology(n, (0, full))]
+
+
+def test_least_core_basis_meets_the_five_weight_conditions():
+    # the witness `cardinal_invariants` reports for c attains all five
+    # conditions of Prop. 9.1
+    for s in ALL_TOPS_TO_4 + _sixteen_point_spaces():
+        assert cord.prop_9_1_conditions(s, cord.minimal_core_basis(s)) == (True,) * 5
+
+
 def test_cardinal_invariants_examples():
     assert cord.cardinal_invariants(SIER).values == (2, 2, 2, 2, 2)
     assert cord.cardinal_invariants(Topology(2, (0, 3))).values == (1, 1, 1, 1, 1)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import multiprocessing
 import threading
+import time
 
 import pytest
 
@@ -126,6 +127,22 @@ def test_enumeration_bounds_and_kinds():
     assert err.value.code == "UnknownKind"
 
 
+@pytest.mark.parametrize("kind", ["ordered-space", "semilattice-ordered-space"])
+def test_ordered_space_kinds_refuse_five_points(kind, capsys):
+    # 4,231 x 6,942 ordered spaces on 5 points would not fit in memory
+    assert labcli.BOUNDS[kind] == 4
+    with pytest.raises(ValidationError) as err:
+        enumerate_instances(kind, 5)
+    assert (err.value.code, err.value.witness) == ("BoundTooLarge", (kind, 5))
+    calls = [["enumerate", "--kind", kind, "--n", "5"]]
+    if kind == "ordered-space":
+        calls.append(["hunt", "--refute", "up-stable", "--n", "5"])
+    for argv in calls:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: BoundTooLarge")
+
+
 def test_ordered_space_stream_is_product_of_posets_and_topologies():
     insts = enumerate_instances("ordered-space", 3)
     assert len(insts) == 19 * 29
@@ -185,13 +202,31 @@ def test_lattice_laws_class_verdicts_equal_labeled_verdicts():
 
 
 def test_lattice_laws_refuses_n_beyond_the_lattice_bound(capsys):
-    n = labcli.BOUNDS["lattice"] + 1
+    n = labcli.SUITES["lattice-laws"] + 1
     with pytest.raises(ValidationError) as err:
         run_suite(SuiteSpec("lattice-laws", n))
-    assert err.value.code == "BoundTooLarge"
+    assert (err.value.code, err.value.witness) == ("BoundTooLarge", ("lattice-laws", n))
     assert main(["verify", "--suite", "lattice-laws", "--n", str(n)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: BoundTooLarge")
+
+
+@pytest.mark.parametrize("suite", labcli.SUITES)
+def test_every_suite_refuses_n_above_its_bound_before_enumerating(suite, monkeypatch):
+    def enumerated(*args):
+        raise AssertionError("enumerated before the bound check")
+
+    for name in ("posets", "qosets", "topologies", "_lattice_classes", "enumerate_instances"):
+        monkeypatch.setattr(labcli, name, enumerated)
+    for n in range(labcli.SUITES[suite] + 1, 17):
+        start = time.monotonic()
+        with pytest.raises(ValidationError) as err:
+            run_suite(SuiteSpec(suite, n))
+        assert time.monotonic() - start < 0.1
+        assert (err.value.code, err.value.witness) == ("BoundTooLarge", (suite, n))
+    with pytest.raises(ValidationError) as err:
+        run_suite(SuiteSpec(suite, 17))
+    assert (err.value.code, err.value.witness) == ("BadCarrier", (17,))
 
 
 def test_suite_starts_no_process_or_thread(capsys):
@@ -346,9 +381,10 @@ def test_cli_verify(capsys):
     assert doc["failures"] == 0 and doc["instances"] == 4
     assert main(["verify", "--suite", "thm-0.0", "--n", "2"]) == 2
     assert capsys.readouterr().err.startswith("error: UnknownSuite")
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "thm-4.6", "--n", "2", "--workers", "2"])
-    assert exc.value.code == 2
+    for flag in ("--workers", "--seed", "--sample"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "thm-4.6", "--n", "2", flag, "0"])
+        assert exc.value.code == 2
     capsys.readouterr()
     assert main([
         "verify", "--suite", "thm-4.6", "--n", "2",
