@@ -31,9 +31,11 @@ from .finstruct import (
     decode,
     encode,
     generate_topology,
+    isomorphism,
     mask_of,
     parse_json,
     point_masks,
+    transpose,
     validate_lattice,
 )
 
@@ -357,30 +359,29 @@ def _suite_cases(spec: SuiteSpec, fault=None):
     elif s_id in ("thm-4.6", "thm-5.3"):
         tops = enumerate_instances("topology", n)
         orders = [Qoset(n, rows) for rows in posets(n)]
-        for t in tops:
-            for q in orders:
-                sp = OrderedSpace(q, t)
-                tb = ospace.Tables(sp)
-                if s_id == "thm-4.6":
-                    vec = ospace.thm_4_6_sides(tb)
-                    if fault == "sector-no-separation":
-                        vec = (
-                            ospace.is_up_stable(tb)
-                            and ospace._neighborhood_base(
-                                tb, lambda w, x: ospace._is_sector(tb, w)
-                            ),
-                        ) + vec[1:]
-                else:
-                    vec = ospace.thm_5_3_sides(tb)
-                    if fault == "fan-no-separation":
-                        vec = (
-                            ospace.is_up_stable(tb)
-                            and ospace._neighborhood_base(
-                                tb, lambda w, x: ospace._is_fan(tb, w)
-                            ),
-                        ) + vec[1:]
-                ok = len(set(vec)) == 1
-                yield sp, ok, list(vec)
+        sides = ospace.thm_4_6_sides if s_id == "thm-4.6" else ospace.thm_5_3_sides
+        # a fault decides side 1 by its sector or fan base alone, without
+        # the separation conjunct
+        unseparated = {
+            "sector-no-separation": ospace._is_sector,
+            "fan-no-separation": ospace._is_fan,
+        }.get(fault)
+
+        def decide(q, t):
+            tb = ospace.Tables(OrderedSpace(q, t))
+            vec = sides(tb)
+            if unseparated:
+                vec = (
+                    ospace.is_up_stable(tb)
+                    and ospace._neighborhood_base(tb, lambda w, x: unseparated(tb, w)),
+                ) + vec[1:]
+            return len(set(vec)) == 1, vec
+
+        verdict = _class_verdicts(tops, orders, decide)
+        for ti, t in enumerate(tops):
+            for qi, q in enumerate(orders):
+                ok, vec = verdict(qi, ti)
+                yield OrderedSpace(q, t), ok, list(vec)
     elif s_id == "thm-6.2":
         for rows in posets(n):
             q = Qoset(n, rows)
@@ -391,29 +392,27 @@ def _suite_cases(spec: SuiteSpec, fault=None):
             for sp in enumerate_instances("ordered-space", n):
                 vec = ospace.thm_6_2_sides(ospace.Tables(sp))
                 yield sp, vec[3] == vec[4], [vec[3], vec[4]]
-    elif s_id == "thm-7.2":
+    elif s_id in ("thm-7.2", "prop-7.4"):
         tops = [Topology(n, opens) for opens in topologies(n)]
-        for rows in _meet_posets(n):
-            q = Qoset(n, rows)
-            meet = ospace.meet_table(q)
-            for t in tops:
-                sp = OrderedSpace(q, t)
-                tb = ospace.Tables(sp)
-                if not (ospace.is_hyperconvex(tb) and ospace.is_semi_qospace(tb)):
-                    continue
-                vec = ospace.thm_7_2_sides(tb, meet)
-                ok = all(
-                    len(set(vec[i:i + 3])) == 1 for i in (0, 3, 6)
-                )
-                yield sp, ok, list(vec)
-    elif s_id == "prop-7.4":
-        tops = [Topology(n, opens) for opens in topologies(n)]
-        for rows in _meet_posets(n):
-            q = Qoset(n, rows)
-            for t in tops:
-                sp = OrderedSpace(q, t)
-                vec = ospace.prop_7_4_sides(ospace.Tables(sp))
-                yield sp, len(set(vec)) == 1, list(vec)
+        orders = [Qoset(n, rows) for rows in _meet_posets(n)]
+
+        def decide(q, t):
+            tb = ospace.Tables(OrderedSpace(q, t))
+            if s_id == "prop-7.4":
+                vec = ospace.prop_7_4_sides(tb)
+                return len(set(vec)) == 1, vec
+            # thm-7.2 is about the hyperconvex semi-qospaces only
+            if not (ospace.is_hyperconvex(tb) and ospace.is_semi_qospace(tb)):
+                return None
+            vec = ospace.thm_7_2_sides(tb, ospace.meet_table(q))
+            return all(len(set(vec[i:i + 3])) == 1 for i in (0, 3, 6)), vec
+
+        verdict = _class_verdicts(tops, orders, decide)
+        for qi, q in enumerate(orders):
+            for ti, t in enumerate(tops):
+                case = verdict(qi, ti)
+                if case is not None:
+                    yield OrderedSpace(q, t), case[0], list(case[1])
     elif s_id == "thm-8.4":
         for s in enumerate_instances("t0-topology", n):
             if not cord.is_core_space(s):
@@ -475,6 +474,71 @@ def _suite_cases(spec: SuiteSpec, fault=None):
             a = len(topologies(k))
             b = len(qosets(k))
             yield {"n": k}, a == b, [a, b]
+
+
+def _topology_classes(tops):
+    """The isomorphism classes of labeled topologies on one carrier, as
+    (reps, members): reps[c] is the first topology of class c in `tops`, and
+    members[i] is (c, p) with p the `isomorphism` witness that carries
+    reps[c].M onto tops[i].M."""
+    n = tops[0].n
+    reps, members, by_degrees = [], [], {}
+    for t in tops:
+        # isomorphic topologies have the same sorted (row, column) counts of
+        # M, so only topologies that share them are tried
+        key = tuple(sorted(zip(
+            (m.bit_count() for m in t.M),
+            (c.bit_count() for c in transpose(n, t.M)),
+        )))
+        for c in by_degrees.setdefault(key, []):
+            p = isomorphism(n, (reps[c].M,), (t.M,))
+            if p is not None:
+                break
+        else:
+            c, p = len(reps), tuple(range(n))
+            by_degrees[key].append(c)
+            reps.append(t)
+        members.append((c, p))
+    return reps, members
+
+
+def _class_verdicts(tops, orders, decide):
+    """The lookup `verdict(qi, ti)` of `decide(orders[qi], tops[ti])`, which
+    decides each (topology class, order) once.
+
+    The suites' predicates are invariant when order and topology are
+    relabelled by one bijection.  With tops[ti] = p(rep), the ordered space
+    (q, tops[ti]) is the image under p of (p^-1 q, rep), so its verdict is
+    `decide(p^-1 q, rep)`.  That is computed at the first lookup that needs
+    it and shared by every later one.  p^-1 q is again one of `orders`, since
+    a relabelled poset is a poset, with meets if q has them."""
+    n = tops[0].n
+    reps, members = _topology_classes(tops)
+    index = {q.leq: j for j, q in enumerate(orders)}
+    pullbacks = {}  # p -> the index of p^-1 q for each order q
+    for _c, p in members:
+        if p not in pullbacks:
+            pullbacks[p] = [
+                index[tuple(
+                    mask_of(y for y in range(n) if q.leq[p[x]] >> p[y] & 1)
+                    for x in range(n)
+                )]
+                for q in orders
+            ]
+    pending = object()
+    table = [[pending] * len(orders) for _rep in reps]
+    shared = {}  # one object per distinct verdict keeps the table small
+
+    def verdict(qi, ti):
+        c, p = members[ti]
+        j = pullbacks[p][qi]
+        row = table[c]
+        if row[j] is pending:
+            case = decide(orders[j], reps[c])
+            row[j] = shared.setdefault(case, case)
+        return row[j]
+
+    return verdict
 
 
 def _lattice_law_case(lat):
@@ -548,6 +612,8 @@ class HypothesisSpec:
 def hunt(h: HypothesisSpec):
     """First (lexicographic) instance satisfying every assume tag while
     failing the refute tag, or an exhausted-certificate."""
+    if h.kind not in {kind for kind, _fn in PREDICATES.values()}:
+        raise ValidationError("KindHasNoTags", (h.kind,))
     for tag in tuple(h.assume) + (h.refute,):
         if tag not in PREDICATES:
             raise ValidationError("UnknownPredicateTag", (tag,))

@@ -1,6 +1,6 @@
-"""Ordered-space predicate profiles: separation, convexity, stability, web /
-sector / fan structure, mc-orderedness, semilattice-ordered classes, and
-theorem-level equivalence bundles.
+"""Ordered-space predicates: separation, convexity, stability, web / sector /
+fan structure, mc-orderedness, semilattice continuity, and the theorem-level
+equivalence bundles.
 
 Every finite space is Alexandroff: each point x has a least open
 neighborhood M[x] (`Topology.M`), and the only neighborhood of x inside M[x]
@@ -148,20 +148,6 @@ def _closure(tb: Tables, mask) -> int:
 
 # ---------------------------------------------------------------- separation
 
-@dataclass(frozen=True)
-class SeparationProfile:
-    lower_semi_qospace: bool
-    upper_semi_qospace: bool
-    semi_qospace: bool
-    qospace: bool
-    pospace: bool
-    t1_ordered: bool
-    t2_ordered: bool
-    upper_regular: bool
-    lower_regular: bool
-    upper_t3_ordered: bool
-
-
 def is_lower_semi_qospace(tb: Tables) -> bool:
     """All principal ideals are closed."""
     return all(
@@ -218,36 +204,7 @@ def is_lower_regular(tb: Tables) -> bool:
     return all(tb.full ^ m in tb.opens_set for m in tb.Mdown)
 
 
-def separation_profile(t: OrderedSpace, tables: Tables = None) -> SeparationProfile:
-    tb = tables or Tables(t)
-    antisym = tb.q.is_antisymmetric()
-    semi = is_semi_qospace(tb)
-    qos = is_qospace(tb)
-    upreg = is_upper_regular(tb)
-    return SeparationProfile(
-        lower_semi_qospace=is_lower_semi_qospace(tb),
-        upper_semi_qospace=is_upper_semi_qospace(tb),
-        semi_qospace=semi,
-        qospace=qos,
-        pospace=qos and antisym,
-        t1_ordered=semi and antisym,
-        t2_ordered=is_t2_ordered(tb),
-        upper_regular=upreg,
-        lower_regular=is_lower_regular(tb),
-        upper_t3_ordered=upreg and semi and antisym,
-    )
-
-
 # ---------------------------------------------------------------- convexity
-
-@dataclass(frozen=True)
-class ConvexityProfile:
-    locally_convex: bool
-    strongly_convex: bool
-    hyperconvex: bool
-    sigma_convex: bool
-    alpha_convex: bool
-
 
 def is_locally_convex(tb: Tables) -> bool:
     """The convex open sets form a base: every M[x] is convex."""
@@ -270,34 +227,7 @@ def is_hyperconvex(tb: Tables) -> bool:
     return _cotopology_convex(tb, tb.upsilon_dual)
 
 
-def is_zeta_convex(tb: Tables, zeta: str) -> bool:
-    if zeta == "upsilon":
-        return is_hyperconvex(tb)
-    return _cotopology_convex(tb, td.upset_topology(tb.q2.dual(), zeta))
-
-
-def convexity_profile(t: OrderedSpace, tables: Tables = None) -> ConvexityProfile:
-    tb = tables or Tables(t)
-    return ConvexityProfile(
-        locally_convex=is_locally_convex(tb),
-        strongly_convex=is_strongly_convex(tb),
-        hyperconvex=is_hyperconvex(tb),
-        sigma_convex=is_zeta_convex(tb, "sigma"),
-        alpha_convex=is_zeta_convex(tb, "alpha"),
-    )
-
-
 # ---------------------------------------------------------------- stability
-
-@dataclass(frozen=True)
-class StabilityProfile:
-    up_stable: bool
-    d_stable: bool
-    core_stable: bool
-    vee_stable: bool
-    wedge_stable: bool
-    diamond_stable: bool
-
 
 def is_up_stable(tb: Tables) -> bool:
     return all(tb.q.up(o) in tb.opens_set for o in tb.t.opens)
@@ -376,30 +306,7 @@ def is_diamond_stable(tb: Tables) -> bool:
     return _family_stable(tb, diamond_family(tb.q))
 
 
-def stability_profile(t: OrderedSpace, tables: Tables = None) -> StabilityProfile:
-    tb = tables or Tables(t)
-    return StabilityProfile(
-        up_stable=is_up_stable(tb),
-        d_stable=is_d_stable(tb),
-        core_stable=is_core_stable(tb),
-        vee_stable=is_vee_stable(tb),
-        wedge_stable=is_wedge_stable(tb),
-        diamond_stable=is_diamond_stable(tb),
-    )
-
-
 # ---------------------------------------------------------------- webs etc.
-
-@dataclass(frozen=True)
-class WebProfile:
-    web_ordered: bool
-    locally_filtered: bool
-    sector_space: bool
-    upsilon_sector_space: bool
-    fan_space: bool
-    mc_ordered: bool
-    upper_m_determined: bool
-
 
 def _neighborhood_base(tb: Tables, pred) -> bool:
     """Every point x has a neighborhood base of sets w with pred(w, x); the
@@ -446,14 +353,6 @@ def _is_sector(tb: Tables, w, _x=None) -> bool:
     )
 
 
-def _is_upsilon_sector(tb: Tables, w, _x=None) -> bool:
-    return w != 0 and any(
-        w == tb.q.leq[u] & v
-        for u in range(tb.n)
-        for v in tb.upsilon_dual.opens
-    )
-
-
 def _is_fan(tb: Tables, w, _x=None) -> bool:
     return w != 0 and any(
         w == tb.q.leq[u] & ~g
@@ -475,14 +374,6 @@ def is_sector_space(tb: Tables) -> bool:
         is_up_stable(tb)
         and is_semi_qospace(tb)
         and _neighborhood_base(tb, lambda w, x: _is_sector(tb, w))
-    )
-
-
-def is_upsilon_sector_space(tb: Tables) -> bool:
-    return (
-        is_up_stable(tb)
-        and is_semi_qospace(tb)
-        and _neighborhood_base(tb, lambda w, x: _is_upsilon_sector(tb, w))
     )
 
 
@@ -516,29 +407,6 @@ def is_upper_m_determined(tb: Tables) -> bool:
         if all(d & u for d in tb.directed if _closure(tb, d) & u):
             return False
     return True
-
-
-def web_profile(t: OrderedSpace, tables: Tables = None) -> WebProfile:
-    tb = tables or Tables(t)
-    return WebProfile(
-        web_ordered=is_web_ordered(tb),
-        locally_filtered=is_locally_filtered(tb),
-        sector_space=is_sector_space(tb),
-        upsilon_sector_space=is_upsilon_sector_space(tb),
-        fan_space=is_fan_space(tb),
-        mc_ordered=is_mc_ordered(tb),
-        upper_m_determined=is_upper_m_determined(tb),
-    )
-
-
-# ---------------------------------------------------------------- domains
-
-def is_domain(q: Qoset) -> bool:
-    """Antisymmetric, and every directed subset has a least upper bound.  A
-    finite directed set has a greatest element, which is its least upper
-    bound, so a finite domain is a finite poset.  Every element of a finite
-    poset is compact, so each is continuous and meet-continuous too."""
-    return q.is_antisymmetric()
 
 
 def is_t2_space(t: Topology) -> bool:
@@ -718,25 +586,6 @@ def meet_table(q: Qoset):
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class SemilatticeProfile:
-    compatible: bool
-    semitopological: bool
-    topological: bool
-    small_semilattices: bool
-    small_convex_semilattices: bool
-
-
-def is_compatible(tb: Tables) -> bool:
-    """The topology lies between the weak and the Alexandroff topology of
-    the order."""
-    ups = td.weak_upper(tb.q)
-    return (
-        all(u in tb.opens_set for u in ups.opens)
-        and all(tb.q.up(o) == o for o in tb.t.opens)
-    )
-
-
 def is_semitopological(tb: Tables, meet) -> bool:
     """All unary meet operations are continuous."""
     n = tb.n
@@ -775,27 +624,4 @@ def is_s_topological(tb: Tables, meet) -> bool:
 def _is_subsemilattice(tb: Tables, meet, w) -> bool:
     return w != 0 and all(
         w >> meet[a][b] & 1 for a in bits(w) for b in bits(w)
-    )
-
-
-def semilattice_profile(t: OrderedSpace, tables: Tables = None) -> SemilatticeProfile:
-    tb = tables or Tables(t)
-    meet = meet_table(tb.q)
-    if meet is None:
-        raise ValidationError("NotASemilattice", ())
-    topo = is_topological(tb, meet)
-    small = _neighborhood_base(
-        tb, lambda w, x: _is_subsemilattice(tb, meet, w)
-    )
-    small_convex = _neighborhood_base(
-        tb,
-        lambda w, x: _is_subsemilattice(tb, meet, w)
-        and tb.q.up(w) & tb.q.down(w) == w,
-    )
-    return SemilatticeProfile(
-        compatible=is_compatible(tb),
-        semitopological=is_semitopological(tb, meet),
-        topological=topo,
-        small_semilattices=topo and small,
-        small_convex_semilattices=topo and small_convex,
     )

@@ -55,7 +55,8 @@ def test_criterion_02_patch_adjunction():
                 if not ospace.is_semi_qospace(tb):
                     continue
                 for zeta in td.COSELECTIONS:
-                    if not ospace.is_zeta_convex(tb, zeta):
+                    cotop = td.upset_topology(tb.q2.dual(), zeta)
+                    if not ospace._cotopology_convex(tb, cotop):
                         continue
                     second += 1
                     ok = ok and td.patch(tb.upper_space, zeta) == sp

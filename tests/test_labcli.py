@@ -6,17 +6,20 @@ import json
 import multiprocessing
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from ordertop import labcli, latid
+from ordertop import labcli, latid, ospace
 from ordertop.finstruct import (
     OrderedSpace,
     Qoset,
     Topology,
     ValidationError,
+    bits,
     encode,
     generate_topology,
+    mask_of,
     transpose,
     validate_lattice,
 )
@@ -241,6 +244,121 @@ def test_suite_starts_no_process_or_thread(capsys):
     assert threading.active_count() == threads
 
 
+# (instances, passes, failures) and determinism_hash of the ordered-space
+# suites at n = 4; the fault hashes cover every encoded counterexample
+ORDERED_SPACE_N4_PINS = {
+    ("thm-4.6", None): (
+        (77745, 77745, 0),
+        "305586c16101086711a832a976b534e4973afdeab0930541938f7f4260d42bab",
+    ),
+    ("thm-4.6", "sector-no-separation"): (
+        (77745, 69403, 8342),
+        "1c923a50f064c69730941383e32d5a613c0f14004bac0f4ec79053b60c859f71",
+    ),
+    ("thm-5.3", None): (
+        (77745, 77745, 0),
+        "f5cf08186a9349a747c837acb577c1184b726823aa613d8c433d18cd2258a7c6",
+    ),
+    ("thm-5.3", "fan-no-separation"): (
+        (77745, 67951, 9794),
+        "e8b05550d4ea00f555ce8daf0be64ad13528889c3e25f6ff60bb9022f2babe58",
+    ),
+    ("thm-7.2", None): (
+        (76, 76, 0),
+        "f181e32f9ab696521e0c7dc7977599968cec41a2bc84d057818e408d9537ef89",
+    ),
+    ("prop-7.4", None): (
+        (26980, 26980, 0),
+        "94907cb62360758e2f32bb9c6aa63879f6a20cf67d13c465850fabadf3a7cfc7",
+    ),
+}
+
+
+@pytest.mark.parametrize("suite, fault", ORDERED_SPACE_N4_PINS)
+def test_ordered_space_suite_reports_at_n4(suite, fault):
+    counts, digest = ORDERED_SPACE_N4_PINS[suite, fault]
+    report = run_suite(SuiteSpec(suite, 4), fault=fault)
+    assert (report.instances, report.passes, report.failures) == counts
+    assert report.determinism_hash == digest
+
+
+def test_topology_classes_and_their_witnesses():
+    counts = []
+    for n in range(1, 5):
+        tops = enumerate_instances("topology", n)
+        reps, members = labcli._topology_classes(tops)
+        counts.append(len(reps))
+        first = {}
+        for ti, (t, (c, p)) in enumerate(zip(tops, members)):
+            first.setdefault(c, ti)
+            assert sorted(p) == list(range(n))
+            # p carries rep.M onto t.M
+            assert all(
+                t.M[p[x]] == mask_of(p[y] for y in bits(reps[c].M[x]))
+                for x in range(n)
+            )
+        assert [tops[ti] for ti in first.values()] == reps
+    # the unlabeled topologies on 1..4 points
+    assert counts == [1, 3, 9, 33]
+
+
+def _every_side(q, t):
+    """Every verdict an ordered-space suite reads, decided directly."""
+    tb = ospace.Tables(OrderedSpace(q, t))
+    meet = ospace.meet_table(q)
+    return (
+        ospace.thm_4_6_sides(tb),
+        ospace.thm_5_3_sides(tb),
+        ospace.prop_7_4_sides(tb),
+        ospace._neighborhood_base(tb, lambda w, x: ospace._is_sector(tb, w)),
+        ospace._neighborhood_base(tb, lambda w, x: ospace._is_fan(tb, w)),
+        ospace.is_hyperconvex(tb) and ospace.is_semi_qospace(tb),
+        meet and ospace.thm_7_2_sides(tb, meet),
+    )
+
+
+@pytest.mark.parametrize("orders_of", [labcli.posets, labcli._meet_posets])
+def test_class_verdicts_equal_direct_verdicts_at_n3(orders_of):
+    tops = enumerate_instances("topology", 3)
+    orders = [Qoset(3, rows) for rows in orders_of(3)]
+    decided = []
+
+    def decide(q, t):
+        decided.append((q, t))
+        return _every_side(q, t)
+
+    verdict = labcli._class_verdicts(tops, orders, decide)
+    for ti, t in enumerate(tops):
+        for qi, q in enumerate(orders):
+            assert verdict(qi, ti) == _every_side(q, t)
+    # once per (topology class, order)
+    assert len(decided) == len(set(decided)) == 9 * len(orders)
+
+
+@pytest.mark.parametrize("suite, builds", [
+    ("thm-4.6", 33 * 219),
+    ("thm-5.3", 33 * 219),
+    ("thm-7.2", 33 * 76),
+    ("prop-7.4", 33 * 76),
+])
+def test_ordered_space_suites_build_tables_once_per_class_and_order(
+    suite, builds, monkeypatch
+):
+    # count the Tables the suite driver builds, not those the predicates
+    # build for upper spaces
+    built = []
+
+    def tables(space):
+        built.append(space)
+        return ospace.Tables(space)
+
+    monkeypatch.setattr(
+        labcli, "ospace", SimpleNamespace(**{**vars(ospace), "Tables": tables})
+    )
+    run_suite(SuiteSpec(suite, 4))
+    assert len(built) == len(set(built)) == builds
+
+
 # ---------------------------------------------------------------- faults
 
 def test_fault_injection_produces_stable_counterexamples():
@@ -290,6 +408,30 @@ def test_hunt_rejects_unknown_or_mismatched_tags():
     assert err.value.code == "UnknownPredicateTag"
     with pytest.raises(ValidationError):
         hunt(HypothesisSpec((), "sober"))  # topology tag, ordered-space kind
+
+
+# a true implication between tags of each kind that PREDICATES covers
+HUNT_IMPLICATIONS = {
+    "ordered-space": ("semi-qospace", "up-stable"),
+    "topology": ("sober", "t0"),
+}
+
+
+@pytest.mark.parametrize("kind", labcli.BOUNDS)
+def test_hunt_refuses_kinds_no_tag_covers(kind, capsys):
+    assume, refute = HUNT_IMPLICATIONS.get(kind, ("semi-qospace", "up-stable"))
+    argv = ["hunt", "--assume", assume, "--refute", refute, "--kind", kind, "--n", "2"]
+    if kind in HUNT_IMPLICATIONS:
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["exhausted"]["kind"] == kind
+        return
+    with pytest.raises(ValidationError) as err:
+        hunt(HypothesisSpec((assume,), refute, kind, 2))
+    assert (err.value.code, err.value.witness) == ("KindHasNoTags", (kind,))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: KindHasNoTags('{kind}',)\n"
 
 
 # ---------------------------------------------------------------- fixtures

@@ -2,7 +2,11 @@
 semilattice continuity, and the equivalence bundles.
 
 The production predicates shortcut through minimal neighborhoods; here they
-are replayed against direct full-quantifier scans on small carriers."""
+are replayed against direct full-quantifier scans on small carriers.  The
+predicate profiles, which no suite reads, live here as worked-example
+oracles."""
+
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, strategies as st
@@ -50,13 +54,47 @@ def _tables(space):
 
 # ---------------------------------------------------------------- separation
 
+@dataclass(frozen=True)
+class SeparationProfile:
+    lower_semi_qospace: bool
+    upper_semi_qospace: bool
+    semi_qospace: bool
+    qospace: bool
+    pospace: bool
+    t1_ordered: bool
+    t2_ordered: bool
+    upper_regular: bool
+    lower_regular: bool
+    upper_t3_ordered: bool
+
+
+def separation_profile(s):
+    tb = _tables(s)
+    antisym = tb.q.is_antisymmetric()
+    semi = ospace.is_semi_qospace(tb)
+    qos = ospace.is_qospace(tb)
+    upreg = ospace.is_upper_regular(tb)
+    return SeparationProfile(
+        lower_semi_qospace=ospace.is_lower_semi_qospace(tb),
+        upper_semi_qospace=ospace.is_upper_semi_qospace(tb),
+        semi_qospace=semi,
+        qospace=qos,
+        pospace=qos and antisym,
+        t1_ordered=semi and antisym,
+        t2_ordered=ospace.is_t2_ordered(tb),
+        upper_regular=upreg,
+        lower_regular=ospace.is_lower_regular(tb),
+        upper_t3_ordered=upreg and semi and antisym,
+    )
+
+
 def test_separation_profile_of_discrete_chain_is_all_true():
-    prof = ospace.separation_profile(CHAIN2_DISCRETE)
+    prof = separation_profile(CHAIN2_DISCRETE)
     assert all(getattr(prof, f) for f in prof.__dataclass_fields__)
 
 
 def test_separation_profile_of_indiscrete_chain():
-    prof = ospace.separation_profile(CHAIN2_INDISCRETE)
+    prof = separation_profile(CHAIN2_INDISCRETE)
     assert not prof.lower_semi_qospace
     assert not prof.upper_semi_qospace
     assert not prof.qospace
@@ -118,15 +156,43 @@ def test_separation_predicates_match_direct_scans():
 
 # ---------------------------------------------------------------- convexity
 
+@dataclass(frozen=True)
+class ConvexityProfile:
+    locally_convex: bool
+    strongly_convex: bool
+    hyperconvex: bool
+    sigma_convex: bool
+    alpha_convex: bool
+
+
+def zeta_convex(tb, zeta):
+    """The topology is generated by the open upper sets together with the
+    zeta topology of the dual of the upper-space specialization."""
+    if zeta == "upsilon":
+        return ospace.is_hyperconvex(tb)
+    return ospace._cotopology_convex(tb, td.upset_topology(tb.q2.dual(), zeta))
+
+
+def convexity_profile(s):
+    tb = _tables(s)
+    return ConvexityProfile(
+        locally_convex=ospace.is_locally_convex(tb),
+        strongly_convex=ospace.is_strongly_convex(tb),
+        hyperconvex=ospace.is_hyperconvex(tb),
+        sigma_convex=zeta_convex(tb, "sigma"),
+        alpha_convex=zeta_convex(tb, "alpha"),
+    )
+
+
 def test_convexity_worked_examples():
-    assert ospace.convexity_profile(CHAIN2_DISCRETE) == ospace.ConvexityProfile(
+    assert convexity_profile(CHAIN2_DISCRETE) == ConvexityProfile(
         True, True, True, True, True
     )
     # opens {top} only: strongly convex but the finitely-generated lower
     # cotopology is not contained in the topology
-    prof = ospace.convexity_profile(CHAIN3_TOP)
+    prof = convexity_profile(CHAIN3_TOP)
     assert prof.strongly_convex and not prof.hyperconvex
-    prof = ospace.convexity_profile(ANTI3_PAIR)
+    prof = convexity_profile(ANTI3_PAIR)
     assert prof.strongly_convex and not prof.hyperconvex
 
 
@@ -169,12 +235,34 @@ def test_convexity_predicates_match_generation_oracles():
 
 # ---------------------------------------------------------------- stability
 
+@dataclass(frozen=True)
+class StabilityProfile:
+    up_stable: bool
+    d_stable: bool
+    core_stable: bool
+    vee_stable: bool
+    wedge_stable: bool
+    diamond_stable: bool
+
+
+def stability_profile(s):
+    tb = _tables(s)
+    return StabilityProfile(
+        up_stable=ospace.is_up_stable(tb),
+        d_stable=ospace.is_d_stable(tb),
+        core_stable=ospace.is_core_stable(tb),
+        vee_stable=ospace.is_vee_stable(tb),
+        wedge_stable=ospace.is_wedge_stable(tb),
+        diamond_stable=ospace.is_diamond_stable(tb),
+    )
+
+
 def test_stability_worked_examples():
     assert all(
-        getattr(ospace.stability_profile(CHAIN3_TOP), f)
-        for f in ospace.StabilityProfile.__dataclass_fields__
+        getattr(stability_profile(CHAIN3_TOP), f)
+        for f in StabilityProfile.__dataclass_fields__
     )
-    prof = ospace.stability_profile(ANTI3_PAIR)
+    prof = stability_profile(ANTI3_PAIR)
     assert prof.up_stable and not prof.core_stable
     assert not prof.vee_stable and not prof.diamond_stable
 
@@ -234,12 +322,52 @@ def test_space_neighborhood_bases_match_full_scans():
                 assert ospace._neighborhood_base(tb, pred) == _base_oracle(tb, pred)
 
 
+@dataclass(frozen=True)
+class WebProfile:
+    web_ordered: bool
+    locally_filtered: bool
+    sector_space: bool
+    upsilon_sector_space: bool
+    fan_space: bool
+    mc_ordered: bool
+    upper_m_determined: bool
+
+
+def _is_upsilon_sector(tb, w):
+    return w != 0 and any(
+        w == tb.q.leq[u] & v
+        for u in range(tb.n)
+        for v in tb.upsilon_dual.opens
+    )
+
+
+def is_upsilon_sector_space(tb):
+    return (
+        ospace.is_up_stable(tb)
+        and ospace.is_semi_qospace(tb)
+        and ospace._neighborhood_base(tb, lambda w, x: _is_upsilon_sector(tb, w))
+    )
+
+
+def web_profile(s):
+    tb = _tables(s)
+    return WebProfile(
+        web_ordered=ospace.is_web_ordered(tb),
+        locally_filtered=ospace.is_locally_filtered(tb),
+        sector_space=ospace.is_sector_space(tb),
+        upsilon_sector_space=is_upsilon_sector_space(tb),
+        fan_space=ospace.is_fan_space(tb),
+        mc_ordered=ospace.is_mc_ordered(tb),
+        upper_m_determined=ospace.is_upper_m_determined(tb),
+    )
+
+
 def test_web_profile_worked_examples():
-    prof = ospace.web_profile(CHAIN3_TOP)
+    prof = web_profile(CHAIN3_TOP)
     assert prof.web_ordered and prof.locally_filtered
     assert not prof.sector_space and not prof.fan_space
     assert prof.mc_ordered and prof.upper_m_determined
-    prof = ospace.web_profile(ANTI3_PAIR)
+    prof = web_profile(ANTI3_PAIR)
     assert not prof.web_ordered and not prof.locally_filtered
 
 
@@ -247,7 +375,7 @@ def test_sector_implies_upsilon_sector_implies_fan():
     for s in ALL_PAIRS_3:
         tb = _tables(s)
         sec = ospace.is_sector_space(tb)
-        usec = ospace.is_upsilon_sector_space(tb)
+        usec = is_upsilon_sector_space(tb)
         fan = ospace.is_fan_space(tb)
         assert (not sec or usec) and (not usec or fan)
 
@@ -299,14 +427,22 @@ def test_way_below_matches_directed_scan():
         assert td.way_below_qoset(q) == _way_below_scan(q)
 
 
+def is_domain(q):
+    """Antisymmetric, and every directed subset has a least upper bound.  A
+    finite directed set has a greatest element, which is its least upper
+    bound, so a finite domain is a finite poset.  Every element of a finite
+    poset is compact, so each is continuous and meet-continuous too."""
+    return q.is_antisymmetric()
+
+
 def test_domain_predicates():
-    assert ospace.is_domain(CHAIN3)
-    assert ospace.is_domain(DIAMOND4)
-    assert not ospace.is_domain(Qoset(2, (0b11, 0b11)))  # not antisymmetric
+    assert is_domain(CHAIN3)
+    assert is_domain(DIAMOND4)
+    assert not is_domain(Qoset(2, (0b11, 0b11)))  # not antisymmetric
     # in finite posets the way-below sets are the principal ideals, so
     # every finite domain is continuous and meet-continuous
     for q in ALL_QOSETS_TO_4:
-        domain = ospace.is_domain(q)
+        domain = is_domain(q)
         assert domain == _domain_scan(q)
         assert domain == _continuous_domain_scan(q)
         assert domain == _meet_continuous_domain_scan(q)
@@ -361,9 +497,51 @@ def test_topological_matches_product_topology_oracle():
         assert ospace.is_topological(tb, meet) == _topological_oracle(s, meet)
 
 
+@dataclass(frozen=True)
+class SemilatticeProfile:
+    compatible: bool
+    semitopological: bool
+    topological: bool
+    small_semilattices: bool
+    small_convex_semilattices: bool
+
+
+def is_compatible(tb):
+    """The topology lies between the weak and the Alexandroff topology of
+    the order."""
+    ups = td.weak_upper(tb.q)
+    return (
+        all(u in tb.opens_set for u in ups.opens)
+        and all(tb.q.up(o) == o for o in tb.t.opens)
+    )
+
+
+def semilattice_profile(s):
+    tb = _tables(s)
+    meet = ospace.meet_table(tb.q)
+    if meet is None:
+        raise ValidationError("NotASemilattice", ())
+    topo = ospace.is_topological(tb, meet)
+    small = ospace._neighborhood_base(
+        tb, lambda w, x: ospace._is_subsemilattice(tb, meet, w)
+    )
+    small_convex = ospace._neighborhood_base(
+        tb,
+        lambda w, x: ospace._is_subsemilattice(tb, meet, w)
+        and tb.q.up(w) & tb.q.down(w) == w,
+    )
+    return SemilatticeProfile(
+        compatible=is_compatible(tb),
+        semitopological=ospace.is_semitopological(tb, meet),
+        topological=topo,
+        small_semilattices=topo and small,
+        small_convex_semilattices=topo and small_convex,
+    )
+
+
 def test_semilattice_profile_of_lawson_diamond():
     law = OrderedSpace(DIAMOND4, td.lawson_topology(DIAMOND4))
-    prof = ospace.semilattice_profile(law)
+    prof = semilattice_profile(law)
     # the order has open lower sets in its own topology, so it is not
     # between the weak upper and the Alexandroff topology of itself
     assert not prof.compatible
@@ -373,7 +551,7 @@ def test_semilattice_profile_of_lawson_diamond():
 
 def test_semilattice_profile_rejects_non_semilattice():
     with pytest.raises(ValidationError) as err:
-        ospace.semilattice_profile(ANTI3_PAIR)
+        semilattice_profile(ANTI3_PAIR)
     assert err.value.code == "NotASemilattice"
 
 
@@ -520,7 +698,7 @@ def _check_against_scans(s):
     assert ospace.is_strongly_convex(tb) == _strongly_convex_scan(tb)
     for zeta in ("upsilon", "sigma", "alpha"):
         cotop = td.upset_topology(tb.q2.dual(), zeta)
-        assert ospace.is_zeta_convex(tb, zeta) == _cotopology_convex_scan(tb, cotop)
+        assert zeta_convex(tb, zeta) == _cotopology_convex_scan(tb, cotop)
     closeds = [tb.full ^ o for o in tb.t.opens]
     assert ospace.is_upper_regular(tb) == _regular_scan(
         tb, tb.upper_opens, [c for c in closeds if tb.q.up(c) == c]
