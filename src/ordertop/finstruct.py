@@ -280,12 +280,6 @@ class Lattice:
             acc = self.join[acc][x]
         return acc
 
-    def meet_of(self, mask) -> int:
-        acc = self.top
-        for x in bits(mask):
-            acc = self.meet[acc][x]
-        return acc
-
     def down_mask(self, x) -> int:
         return self._poset.geq[x]
 
@@ -445,10 +439,6 @@ def _rows_from(n, matrix):
     return rows
 
 
-def qoset_from_rows(n, rows) -> Qoset:
-    return validate_qoset(n, tuple(rows))
-
-
 def generate_topology(n, subbase) -> Topology:
     """Smallest topology containing the given subbase of masks: the unions of
     its minimal neighborhoods, each the meet of the members around a point."""
@@ -461,20 +451,6 @@ def generate_topology(n, subbase) -> Topology:
 
 
 # ------------------------------------------------------------- isomorphism
-
-def _kind_of(obj):
-    if isinstance(obj, Qoset):
-        return "qoset"
-    if isinstance(obj, Topology):
-        return "topology"
-    if isinstance(obj, OrderedSpace):
-        return "ordered-space"
-    if isinstance(obj, Lattice):
-        return "lattice"
-    if isinstance(obj, BinaryRelation):
-        return "relation"
-    raise ValidationError("UnknownKind", (type(obj).__name__,))
-
 
 def relations_of(obj) -> tuple:
     """The relation rows a structure isomorphism must preserve.  A bijection
@@ -540,21 +516,6 @@ def isomorphism(n, rels_a, rels_b):
         return None
 
     return extend(0, 0)
-
-
-def are_isomorphic(a, b, kind=None):
-    """Structure isomorphism test; returns (bool, witness permutation).
-
-    The witness maps points of `a` to points of `b` and is the
-    lexicographically least such permutation.
-    """
-    ka, kb = _kind_of(a), _kind_of(b)
-    if ka != kb or (kind is not None and kind not in (ka,)):
-        raise ValidationError("KindMismatch", (ka, kb))
-    if a.n != b.n:
-        return False, None
-    perm = isomorphism(a.n, relations_of(a), relations_of(b))
-    return perm is not None, perm
 
 
 # ------------------------------------------------------------- serialization

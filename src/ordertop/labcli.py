@@ -356,20 +356,39 @@ def _suite_cases(spec: SuiteSpec, fault=None):
                 and td.alexandroff(td.specialization(s)) == s
             )
             yield s, ok, None
-    elif s_id in ("thm-4.6", "thm-5.3"):
-        tops = enumerate_instances("topology", n)
-        orders = [Qoset(n, rows) for rows in posets(n)]
-        sides = ospace.thm_4_6_sides if s_id == "thm-4.6" else ospace.thm_5_3_sides
-        # a fault decides side 1 by its sector or fan base alone, without
-        # the separation conjunct
+    elif s_id in ("thm-4.6", "thm-5.3", "thm-6.2", "thm-7.2", "prop-7.4"):
+        if s_id == "thm-6.2":
+            # the theorem's instances: each poset with its Lawson topology
+            for rows in posets(n):
+                q = Qoset(n, rows)
+                sp = OrderedSpace(q, td.lawson_topology(q))
+                vec = ospace.thm_6_2_sides(ospace.Tables(sp))
+                yield sp, all(vec), list(vec)
+            if n > 3:
+                return
+        # every order with every topology; a fault decides side 1 by its
+        # sector or fan base alone, without the separation conjunct
         unseparated = {
             "sector-no-separation": ospace._is_sector,
             "fan-no-separation": ospace._is_fan,
         }.get(fault)
 
-        def decide(q, t):
-            tb = ospace.Tables(OrderedSpace(q, t))
-            vec = sides(tb)
+        def decide(tb):
+            if s_id == "thm-7.2":
+                # thm-7.2 is about the hyperconvex semi-qospaces only
+                if not (ospace.is_hyperconvex(tb) and ospace.is_semi_qospace(tb)):
+                    return None
+                vec = ospace.thm_7_2_sides(tb, ospace.meet_table(tb.q))
+                return all(len(set(vec[i:i + 3])) == 1 for i in (0, 3, 6)), vec
+            if s_id == "thm-6.2":
+                # over all ordered spaces the cross-check compares sides 4 and 5
+                vec = ospace.thm_6_2_sides(tb)[3:]
+            elif s_id == "prop-7.4":
+                vec = ospace.prop_7_4_sides(tb)
+            elif s_id == "thm-4.6":
+                vec = ospace.thm_4_6_sides(tb)
+            else:
+                vec = ospace.thm_5_3_sides(tb)
             if unseparated:
                 vec = (
                     ospace.is_up_stable(tb)
@@ -377,42 +396,21 @@ def _suite_cases(spec: SuiteSpec, fault=None):
                 ) + vec[1:]
             return len(set(vec)) == 1, vec
 
+        tops = enumerate_instances("topology", n)
+        meets = s_id in ("thm-7.2", "prop-7.4")
+        orders = [Qoset(n, rows) for rows in (_meet_posets(n) if meets else posets(n))]
         verdict = _class_verdicts(tops, orders, decide)
-        for ti, t in enumerate(tops):
-            for qi, q in enumerate(orders):
-                ok, vec = verdict(qi, ti)
-                yield OrderedSpace(q, t), ok, list(vec)
-    elif s_id == "thm-6.2":
-        for rows in posets(n):
-            q = Qoset(n, rows)
-            sp = OrderedSpace(q, td.lawson_topology(q))
-            vec = ospace.thm_6_2_sides(ospace.Tables(sp))
-            yield sp, all(vec), list(vec)
-        if n <= 3:
-            for sp in enumerate_instances("ordered-space", n):
-                vec = ospace.thm_6_2_sides(ospace.Tables(sp))
-                yield sp, vec[3] == vec[4], [vec[3], vec[4]]
-    elif s_id in ("thm-7.2", "prop-7.4"):
-        tops = [Topology(n, opens) for opens in topologies(n)]
-        orders = [Qoset(n, rows) for rows in _meet_posets(n)]
-
-        def decide(q, t):
-            tb = ospace.Tables(OrderedSpace(q, t))
-            if s_id == "prop-7.4":
-                vec = ospace.prop_7_4_sides(tb)
-                return len(set(vec)) == 1, vec
-            # thm-7.2 is about the hyperconvex semi-qospaces only
-            if not (ospace.is_hyperconvex(tb) and ospace.is_semi_qospace(tb)):
-                return None
-            vec = ospace.thm_7_2_sides(tb, ospace.meet_table(q))
-            return all(len(set(vec[i:i + 3])) == 1 for i in (0, 3, 6)), vec
-
-        verdict = _class_verdicts(tops, orders, decide)
-        for qi, q in enumerate(orders):
+        if s_id in ("thm-4.6", "thm-5.3"):  # topology-major
             for ti, t in enumerate(tops):
-                case = verdict(qi, ti)
-                if case is not None:
-                    yield OrderedSpace(q, t), case[0], list(case[1])
+                for qi, q in enumerate(orders):
+                    ok, vec = verdict(qi, ti)
+                    yield OrderedSpace(q, t), ok, list(vec)
+        else:  # order-major
+            for qi, q in enumerate(orders):
+                for ti, t in enumerate(tops):
+                    case = verdict(qi, ti)
+                    if case is not None:
+                        yield OrderedSpace(q, t), case[0], list(case[1])
     elif s_id == "thm-8.4":
         for s in enumerate_instances("t0-topology", n):
             if not cord.is_core_space(s):
@@ -503,15 +501,17 @@ def _topology_classes(tops):
 
 
 def _class_verdicts(tops, orders, decide):
-    """The lookup `verdict(qi, ti)` of `decide(orders[qi], tops[ti])`, which
-    decides each (topology class, order) once.
+    """The lookup `verdict(qi, ti)` of `decide` on the `ospace.Tables` of
+    the ordered space (orders[qi], tops[ti]), which decides each (topology
+    class, order) once.
 
     The suites' predicates are invariant when order and topology are
     relabelled by one bijection.  With tops[ti] = p(rep), the ordered space
     (q, tops[ti]) is the image under p of (p^-1 q, rep), so its verdict is
-    `decide(p^-1 q, rep)`.  That is computed at the first lookup that needs
-    it and shared by every later one.  p^-1 q is again one of `orders`, since
-    a relabelled poset is a poset, with meets if q has them."""
+    that of (p^-1 q, rep).  p^-1 q is again one of `orders`, since a
+    relabelled poset is a poset, with meets if q has them.  Every (class,
+    order) is looked up (the representative's own p is the identity), so
+    the table is filled up front."""
     n = tops[0].n
     reps, members = _topology_classes(tops)
     index = {q.leq: j for j, q in enumerate(orders)}
@@ -525,18 +525,18 @@ def _class_verdicts(tops, orders, decide):
                 )]
                 for q in orders
             ]
-    pending = object()
-    table = [[pending] * len(orders) for _rep in reps]
     shared = {}  # one object per distinct verdict keeps the table small
+
+    def row(rep):
+        for q in orders:
+            case = decide(ospace.Tables(OrderedSpace(q, rep)))
+            yield shared.setdefault(case, case)
+
+    table = [list(row(rep)) for rep in reps]
 
     def verdict(qi, ti):
         c, p = members[ti]
-        j = pullbacks[p][qi]
-        row = table[c]
-        if row[j] is pending:
-            case = decide(orders[j], reps[c])
-            row[j] = shared.setdefault(case, case)
-        return row[j]
+        return table[c][pullbacks[p][qi]]
 
     return verdict
 

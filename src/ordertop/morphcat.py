@@ -36,9 +36,6 @@ KINDS = (
 
 BASED_KINDS = KINDS[3:]  # the kinds that carry a basis
 
-ZETAS = ("upsilon", "sigma", "alpha")
-
-
 # ---------------------------------------------------------------- profiles
 
 @dataclass(frozen=True)
@@ -49,7 +46,7 @@ class MapProfile:
     continuous: bool | None
     isotone: bool | None
     lower_semicontinuous: bool | None
-    zeta_proper: tuple | None  # ((zeta, verdict), ...) over ZETAS
+    zeta_proper: tuple | None  # ((zeta, verdict), ...) over td.COSELECTIONS
     core_continuous: bool | None
     quasiopen: bool | None
     residuated: bool | None
@@ -154,7 +151,7 @@ def map_profile(f: SpaceMap, src, dst) -> MapProfile:
         if f.n_src != s.n or f.n_dst != s2.n:
             raise ValidationError("ContextMismatch", (f.n_src, s.n, f.n_dst, s2.n))
         cont = _is_continuous(f, s, s2)
-        zp = tuple((z, _is_zeta_proper(f, s, s2, z)) for z in ZETAS)
+        zp = tuple((z, _is_zeta_proper(f, s, s2, z)) for z in td.COSELECTIONS)
         cc = _is_core_continuous(f, s, s2)
         qo = _is_quasiopen(f, s, s2)
     if ordered:
@@ -272,31 +269,23 @@ def _to_c(r: Representation) -> cord.CQuasiOrder:
         rel = cord.interior_relation(td.upper_space(r.payload))
         return cord.CQuasiOrder(rel.n, rel.rel)
     if r.kind == "based-domain":
-        q = r.payload
-        wb = td.way_below_qoset(q)
-        base = mask_to_list(r.basis)
-        rows = tuple(
-            mask_of(j for j, b2 in enumerate(base) if wb[b] >> b2 & 1)
-            for b in base
-        )
-        return cord.CQuasiOrder(len(base), rows)
+        return _on_basis(td.way_below_qoset(r.payload), r.basis)
     if r.kind == "core-based-sober-space":
-        rel = cord.interior_relation(r.payload).rel
-        base = mask_to_list(r.basis)
-        rows = tuple(
-            mask_of(j for j, b2 in enumerate(base) if rel[b] >> b2 & 1)
-            for b in base
-        )
-        return cord.CQuasiOrder(len(base), rows)
+        return _on_basis(cord.interior_relation(r.payload).rel, r.basis)
     if r.kind == "based-supercontinuous-lattice":
-        sw = latid.below_relation(r.payload, "superway").rel
-        base = mask_to_list(r.basis)
-        rows = tuple(
-            mask_of(j for j, b2 in enumerate(base) if sw[b2] >> b & 1)
-            for b in base
-        )
-        return cord.CQuasiOrder(len(base), rows)
+        # the row of b holds the points superway below b
+        superway = latid.below_relation(r.payload, "superway").transpose()
+        return _on_basis(superway.rel, r.basis)
     raise ValidationError("UnknownKind", (r.kind,))
+
+
+def _on_basis(rel, basis) -> cord.CQuasiOrder:
+    """The relation rows `rel` restricted to the points of `basis`, which are
+    renumbered 0, 1, ... in ascending order."""
+    base = mask_to_list(basis)
+    return cord.CQuasiOrder(len(base), tuple(
+        mask_of(j for j, b2 in enumerate(base) if rel[b] >> b2 & 1) for b in base
+    ))
 
 
 def _from_c(c: cord.CQuasiOrder, kind: str) -> Representation:

@@ -1,6 +1,6 @@
 """Ordered-space predicates: separation, convexity, stability, web / sector /
-fan structure, mc-orderedness, semilattice continuity, and the theorem-level
-equivalence bundles.
+fan structure, mc-orderedness, semilattice continuity, and the sides of the
+paper's equivalence theorems.
 
 Every finite space is Alexandroff: each point x has a least open
 neighborhood M[x] (`Topology.M`), and the only neighborhood of x inside M[x]
@@ -16,18 +16,14 @@ rows of the ambient topology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import topoderive as td
 from .finstruct import (
     OrderedSpace,
     Qoset,
     Topology,
-    ValidationError,
     bits,
     is_directed,
     memo_property,
-    min_neighborhoods,
     subsets_of,
     unions_of,
 )
@@ -52,31 +48,30 @@ class Tables:
         return interior_table_of(self.t)
 
     @memo_property
-    def upper_opens(self):
-        return tuple(u for u in self.t.opens if self.q.up(u) == u)
-
-    @memo_property
-    def lower_opens(self):
-        return tuple(u for u in self.t.opens if self.q.down(u) == u)
-
-    @memo_property
     def upper_space(self) -> Topology:
-        return Topology(self.n, self.upper_opens)
+        return td.upper_space(self.space)
 
     @memo_property
     def lower_space(self) -> Topology:
-        return Topology(self.n, self.lower_opens)
+        return td.lower_space(self.space)
+
+    @memo_property
+    def upper_opens(self):
+        return self.upper_space.opens
+
+    @memo_property
+    def lower_opens(self):
+        return self.lower_space.opens
 
     @memo_property
     def Mup(self):
         """Minimal open upper neighborhood per point (the specialization row
-        of the upper space); read off the upper opens, since most spaces
-        need no upper-space Topology."""
-        return min_neighborhoods(self.n, self.upper_opens)
+        of the upper space)."""
+        return self.upper_space.M
 
     @memo_property
     def Mdown(self):
-        return min_neighborhoods(self.n, self.lower_opens)
+        return self.lower_space.M
 
     @memo_property
     def q2(self) -> Qoset:
@@ -417,14 +412,7 @@ def is_t2_space(t: Topology) -> bool:
     )
 
 
-# ---------------------------------------------------------------- bundles
-
-@dataclass(frozen=True)
-class Bundle:
-    which: str
-    vector: tuple
-    agreement: bool
-
+# ---------------------------------------------------------------- theorem sides
 
 def thm_4_6_sides(tb: Tables):
     side1 = is_sector_space(tb)
@@ -537,30 +525,6 @@ def prop_7_4_sides(tb: Tables):
         and poset
     )
     return side1, side2
-
-
-def theorem_bundle(t: OrderedSpace, which: str, tables: Tables = None) -> Bundle:
-    tb = tables or Tables(t)
-    if which == "thm-4.6":
-        vec = thm_4_6_sides(tb)
-    elif which == "thm-5.3":
-        vec = thm_5_3_sides(tb)
-    elif which == "thm-6.2":
-        vec = thm_6_2_sides(tb)
-    elif which == "thm-7.2":
-        meet = meet_table(tb.q)
-        if meet is None:
-            raise ValidationError("NotASemilattice", ())
-        vec = thm_7_2_sides(tb, meet)
-        groups = (vec[0:3], vec[3:6], vec[6:9])
-        return Bundle(which, vec, all(len(set(g)) == 1 for g in groups))
-    elif which == "prop-7.4":
-        if meet_table(tb.q) is None:
-            raise ValidationError("NotASemilattice", ())
-        vec = prop_7_4_sides(tb)
-    else:
-        raise ValidationError("UnknownSuite", (which,))
-    return Bundle(which, vec, len(set(vec)) == 1)
 
 
 # ---------------------------------------------------------------- semilattices

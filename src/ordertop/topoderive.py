@@ -252,16 +252,12 @@ def quasi_uniformity(s: Topology) -> EntourageBase:
                 rows = tuple(yr if xr >> x & 1 else full for x in range(n))
                 gens.add(rows)
     closed = set(gens)
-    frontier = list(gens)
+    frontier = gens
     while frontier:
-        add = []
-        for a in frontier:
-            for b in closed:
-                c = tuple(ra & rb for ra, rb in zip(a, b))
-                if c not in closed and c not in add:
-                    add.append(c)
-        closed.update(add)
-        frontier = add
+        frontier = {
+            tuple(ra & rb for ra, rb in zip(a, b)) for a in frontier for b in closed
+        } - closed
+        closed |= frontier
     base = tuple(BinaryRelation(n, rows) for rows in sorted(closed))
     return EntourageBase(n, base)
 

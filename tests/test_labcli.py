@@ -302,10 +302,9 @@ def test_topology_classes_and_their_witnesses():
     assert counts == [1, 3, 9, 33]
 
 
-def _every_side(q, t):
+def _every_side(tb):
     """Every verdict an ordered-space suite reads, decided directly."""
-    tb = ospace.Tables(OrderedSpace(q, t))
-    meet = ospace.meet_table(q)
+    meet = ospace.meet_table(tb.q)
     return (
         ospace.thm_4_6_sides(tb),
         ospace.thm_5_3_sides(tb),
@@ -323,14 +322,14 @@ def test_class_verdicts_equal_direct_verdicts_at_n3(orders_of):
     orders = [Qoset(3, rows) for rows in orders_of(3)]
     decided = []
 
-    def decide(q, t):
-        decided.append((q, t))
-        return _every_side(q, t)
+    def decide(tb):
+        decided.append(tb.space)
+        return _every_side(tb)
 
     verdict = labcli._class_verdicts(tops, orders, decide)
     for ti, t in enumerate(tops):
         for qi, q in enumerate(orders):
-            assert verdict(qi, ti) == _every_side(q, t)
+            assert verdict(qi, ti) == _every_side(ospace.Tables(OrderedSpace(q, t)))
     # once per (topology class, order)
     assert len(decided) == len(set(decided)) == 9 * len(orders)
 
@@ -340,6 +339,9 @@ def test_class_verdicts_equal_direct_verdicts_at_n3(orders_of):
     ("thm-5.3", 33 * 219),
     ("thm-7.2", 33 * 76),
     ("prop-7.4", 33 * 76),
+    # at n = 3: one per poset with its Lawson topology, then the cross-check
+    # of sides 4 and 5 once per (topology class, poset)
+    ("thm-6.2", 19 + 9 * 19),
 ])
 def test_ordered_space_suites_build_tables_once_per_class_and_order(
     suite, builds, monkeypatch
@@ -355,8 +357,12 @@ def test_ordered_space_suites_build_tables_once_per_class_and_order(
     monkeypatch.setattr(
         labcli, "ospace", SimpleNamespace(**{**vars(ospace), "Tables": tables})
     )
-    run_suite(SuiteSpec(suite, 4))
-    assert len(built) == len(set(built)) == builds
+    run_suite(SuiteSpec(suite, 3 if suite == "thm-6.2" else 4))
+    assert len(built) == builds
+    # the Lawson topology of a poset on 3 points is discrete, and the
+    # discrete topology is its own class, so the cross-check builds thm-6.2's
+    # 19 Lawson spaces again; every other build is distinct
+    assert len(set(built)) == builds - (19 if suite == "thm-6.2" else 0)
 
 
 # ---------------------------------------------------------------- faults

@@ -1,5 +1,5 @@
 """Ordered-space properties: separation, convexity, stability, webs,
-semilattice continuity, and the equivalence bundles.
+semilattice continuity, and the sides of the equivalence theorems.
 
 The production predicates shortcut through minimal neighborhoods; here they
 are replayed against direct full-quantifier scans on small carriers.  The
@@ -555,13 +555,13 @@ def test_semilattice_profile_rejects_non_semilattice():
     assert err.value.code == "NotASemilattice"
 
 
-# ---------------------------------------------------------------- bundles
+# ---------------------------------------------------------------- theorem sides
 
 def test_bundle_agreement_on_all_small_ordered_spaces():
     for s in ALL_PAIRS_3:
         tb = _tables(s)
-        for which in ("thm-4.6", "thm-5.3"):
-            assert ospace.theorem_bundle(s, which, tb).agreement
+        assert len(set(ospace.thm_4_6_sides(tb))) == 1
+        assert len(set(ospace.thm_5_3_sides(tb))) == 1
 
 
 def test_bundles_all_true_on_lawson_spaces_of_small_posets():
@@ -570,25 +570,14 @@ def test_bundles_all_true_on_lawson_spaces_of_small_posets():
         if not q.is_antisymmetric():
             continue
         s = OrderedSpace(q, td.lawson_topology(q))
-        bundle = ospace.theorem_bundle(s, "thm-6.2")
-        assert bundle.agreement and all(bundle.vector)
+        assert all(ospace.thm_6_2_sides(_tables(s)))
 
 
 def test_thm_7_2_and_prop_7_4_on_lawson_diamond():
-    law = OrderedSpace(DIAMOND4, td.lawson_topology(DIAMOND4))
-    b = ospace.theorem_bundle(law, "thm-7.2")
-    assert b.agreement and all(b.vector)
-    b = ospace.theorem_bundle(law, "prop-7.4")
-    assert b.agreement and all(b.vector)
-
-
-def test_bundle_errors():
-    with pytest.raises(ValidationError) as err:
-        ospace.theorem_bundle(CHAIN2_DISCRETE, "thm-0.0")
-    assert err.value.code == "UnknownSuite"
-    with pytest.raises(ValidationError) as err:
-        ospace.theorem_bundle(ANTI3_PAIR, "thm-7.2")
-    assert err.value.code == "NotASemilattice"
+    tb = _tables(OrderedSpace(DIAMOND4, td.lawson_topology(DIAMOND4)))
+    assert all(ospace.thm_7_2_sides(tb, ospace.meet_table(DIAMOND4)))
+    assert all(ospace.prop_7_4_sides(tb))
+    assert ospace.meet_table(ANTI3) is None
 
 
 # ---------------------------------------------------------------- M oracles
