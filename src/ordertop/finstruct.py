@@ -55,10 +55,6 @@ def mask_to_list(mask):
     return list(bits(mask))
 
 
-def popcount(mask) -> int:
-    return mask.bit_count()
-
-
 def subsets_of(mask):
     """All submasks of `mask`, ascending as integers, starting with 0."""
     sub = 0
@@ -220,9 +216,6 @@ class BinaryRelation:
     n: int
     rel: tuple
 
-    def pair(self, x, y) -> bool:
-        return bool(self.rel[x] >> y & 1)
-
     def transpose(self) -> "BinaryRelation":
         return BinaryRelation(self.n, transpose(self.n, self.rel))
 
@@ -245,13 +238,6 @@ class Lattice:
             if self.leq[x] == (1 << self.n) - 1:
                 return x
         raise AssertionError("validated lattice has a bottom")
-
-    @memo_property
-    def top(self) -> int:
-        for x in range(self.n):
-            if self.leq[x] == 1 << x:
-                return x
-        raise AssertionError("validated lattice has a top")
 
     def poset(self) -> Qoset:
         """The order as a qoset; one object per lattice, so its derived
@@ -371,7 +357,7 @@ def validate_topology(n, family) -> Topology:
             # Split u into a largest row a = M[x] and the rows of the points
             # outside a: none of those contains x (it would contain a and be
             # larger), so their join b is a smaller union.
-            a = max((rows[x] for x in bits(u)), key=popcount)
+            a = max((rows[x] for x in bits(u)), key=int.bit_count)
             b = 0
             for y in bits(u & ~a):
                 b |= rows[y]

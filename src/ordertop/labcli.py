@@ -1,5 +1,5 @@
-"""Enumeration engines, verification suites, a counterexample hunter, named
-fixtures, and the `ordertop` command-line interface.
+"""Enumeration engines, verification suites, a counterexample hunter, and the
+`ordertop` command-line interface.
 
 Enumeration is labeled and lexicographic over canonical encodings, so "first
 counterexample" is well defined.
@@ -12,7 +12,9 @@ import hashlib
 import json
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from operator import itemgetter
 
 from . import __version__, cord, latid, morphcat, ospace
@@ -49,27 +51,6 @@ BOUNDS = {
     "lattice": 6,
     "semilattice-ordered-space": 4,
 }
-
-# The largest n each suite runs at, exhaustively: `run_suite` refuses a
-# larger n with `BoundTooLarge`.  Each bound keeps one `verify` run at it
-# under 60 s on a 2-core VM (Python 3.11).  Carriers are capped separately,
-# by `finstruct.MAX_POINTS`.
-SUITES = {
-    "thm-3.3-roundtrip": 5,
-    "thm-4.6": 4,
-    "thm-5.3": 4,
-    "thm-6.2": 5,
-    "thm-7.2": 4,
-    "thm-8.4": 4,
-    "thm-9.3": 5,
-    "prop-3.1": 4,
-    "prop-5.5": 5,
-    "prop-7.4": 4,
-    "prop-9.1": 5,
-    "lattice-laws": 6,
-    "count-crosscheck": 6,
-}
-
 
 # ---------------------------------------------------------------- enumeration
 
@@ -333,145 +314,211 @@ class SuiteSpec:
     n: int
 
 
-# Deliberately broken predicate variants for determinism testing: each fault
-# drops one conjunct, which creates real (reproducible) counterexamples.
-FAULTS = {
-    "sector-no-separation": "thm-4.6",
-    "fan-no-separation": "thm-5.3",
+# ---------------------------------------------------------------- suites
+
+def _each(kind, decide, n):
+    """The cases of a suite that decides each instance of `kind` on n points
+    alone: `decide` gives (ok, detail), or None for an instance the suite is
+    not about."""
+    for s in enumerate_instances(kind, n):
+        case = decide(s)
+        if case is not None:
+            yield s, *case
+
+
+def _thm_3_3(s):
+    c = cord.CQuasiOrder(s.n, cord.interior_relation(s).rel)
+    return cord.topology_of(c) == s and td.alexandroff(td.specialization(s)) == s, None
+
+
+def _thm_8_4(s):
+    if not cord.is_core_space(s):
+        return None
+    base = morphcat.Representation("t0-core-space", s)
+    ok = True
+    detail = None
+    for a in morphcat.KINDS:
+        ra = morphcat.convert(base, a)
+        for b in morphcat.KINDS:
+            if a == b:
+                continue
+            back = morphcat.convert(morphcat.convert(ra, b), a)
+            if not morphcat.are_equivalent(ra, back):
+                ok = False
+                detail = [a, b]
+    return ok, detail
+
+
+def _thm_9_3(s):
+    inv = cord.cardinal_invariants(s)
+    classes = len(set(td.specialization(s).leq))
+    return all(v == classes for v in inv.values), list(inv.values)
+
+
+def _prop_3_1(s):
+    prof = cord.core_space_profile(s)
+    return prof.agreement and all(prof.flags), list(prof.flags)
+
+
+def _prop_5_5(s):
+    e = td.quasi_uniformity(s)
+    return (
+        td.tau(e) == s
+        and td.tau_inverse(e) == td.weak_upper(td.specialization(s).dual())
+        and td.tau_star(e) == td.patch(s, "upsilon").topology
+    ), None
+
+
+def _classes(decide, n, meets=False, topology_major=False):
+    """The cases of a suite over every order (with meets, if `meets`) with
+    every topology on n points, topology-major or order-major, decided by
+    `_class_verdicts`: `decide(tb)` gives (ok, sides), or None for a space
+    the suite is not about."""
+    tops = enumerate_instances("topology", n)
+    orders = [Qoset(n, rows) for rows in (_meet_posets(n) if meets else posets(n))]
+    verdict = _class_verdicts(tops, orders, decide)
+    if topology_major:
+        for ti, t in enumerate(tops):
+            for qi, q in enumerate(orders):
+                ok, vec = verdict(qi, ti)
+                yield OrderedSpace(q, t), ok, list(vec)
+    else:
+        for qi, q in enumerate(orders):
+            for ti, t in enumerate(tops):
+                case = verdict(qi, ti)
+                if case is not None:
+                    yield OrderedSpace(q, t), case[0], list(case[1])
+
+
+def _agree(vec):
+    return len(set(vec)) == 1, vec
+
+
+def _thm_4_6(tb):
+    return _agree(ospace.thm_4_6_sides(tb))
+
+
+def _thm_5_3(tb):
+    return _agree(ospace.thm_5_3_sides(tb))
+
+
+def _thm_6_2_sides_4_5(tb):
+    return _agree(ospace.thm_6_2_sides(tb)[3:])
+
+
+def _thm_7_2(tb):
+    # thm-7.2 is about the hyperconvex semi-qospaces only
+    if not (ospace.is_hyperconvex(tb) and ospace.is_semi_qospace(tb)):
+        return None
+    vec = ospace.thm_7_2_sides(tb, ospace.meet_table(tb.q))
+    return all(len(set(vec[i:i + 3])) == 1 for i in (0, 3, 6)), vec
+
+
+def _prop_7_4(tb):
+    return _agree(ospace.prop_7_4_sides(tb))
+
+
+def _unseparated(tb, vec, is_base):
+    """The sides `vec` with side 1 decided by its sector or fan base alone,
+    without the separation conjunct: the faults' broken decide."""
+    side_1 = ospace.is_up_stable(tb) and ospace._neighborhood_base(
+        tb, lambda w, _x: is_base(tb, w)
+    )
+    return _agree((side_1,) + vec[1:])
+
+
+def _sector_no_separation(tb):
+    return _unseparated(tb, ospace.thm_4_6_sides(tb), ospace._is_sector)
+
+
+def _fan_no_separation(tb):
+    return _unseparated(tb, ospace.thm_5_3_sides(tb), ospace._is_fan)
+
+
+def _thm_6_2_cases(n):
+    # the theorem's instances: each poset with its Lawson topology
+    for rows in posets(n):
+        q = Qoset(n, rows)
+        sp = OrderedSpace(q, td.lawson_topology(q))
+        vec = ospace.thm_6_2_sides(ospace.Tables(sp))
+        yield sp, all(vec), list(vec)
+    if n <= 3:
+        # over all ordered spaces the cross-check compares sides 4 and 5
+        yield from _classes(_thm_6_2_sides_4_5, n)
+
+
+def _prop_9_1_cases(n):
+    for s in enumerate_instances("topology", n):
+        for b in range(s.full + 1):
+            conds = cord.prop_9_1_conditions(s, b)
+            yield {"space": s, "basis": b}, len(set(conds)) == 1, list(conds)
+
+
+def _lattice_laws_cases(n):
+    for k in range(1, n + 1):
+        # each labeled lattice is the copy of exactly one representative
+        # (see `_lattice_classes`) and every verdict is invariant under
+        # relabelling: decide each class once, yield its copies in order
+        classes = _lattice_classes(k)
+        cases = [_lattice_law_case(rep) for rep, _copies in classes]
+        copies = sorted(
+            ((lat, i) for i, (_rep, lats) in enumerate(classes) for lat in lats),
+            key=lambda pair: pair[0].leq,
+        )
+        for lat, i in copies:
+            ok, verdicts = cases[i]
+            yield lat, ok, dict(verdicts)
+
+
+def _count_crosscheck_cases(n):
+    for k in range(n + 1):
+        a = len(topologies(k))
+        b = len(qosets(k))
+        yield {"n": k}, a == b, [a, b]
+
+
+@dataclass(frozen=True)
+class Suite:
+    """A verification suite: the largest n it runs at; its cases at n, as
+    (instance, ok, detail) in enumeration order, the instance a structure or
+    a dict of structures and integers (`_record` gives the text a report
+    keeps); and its faults by name, each its cases with a broken decide."""
+
+    bound: int
+    cases: Callable
+    faults: dict = field(default_factory=dict)
+
+
+# Each suite runs exhaustively at every n up to its bound, and `run_suite`
+# refuses a larger n with `BoundTooLarge`.  Each bound keeps one `verify` run
+# at it under 60 s on a 2-core VM (Python 3.11).  Carriers are capped
+# separately, by `finstruct.MAX_POINTS`.
+SUITES = {
+    "thm-3.3-roundtrip": Suite(5, partial(_each, "topology", _thm_3_3)),
+    "thm-4.6": Suite(4, partial(_classes, _thm_4_6, topology_major=True), {
+        "sector-no-separation": partial(_classes, _sector_no_separation, topology_major=True),
+    }),
+    "thm-5.3": Suite(4, partial(_classes, _thm_5_3, topology_major=True), {
+        "fan-no-separation": partial(_classes, _fan_no_separation, topology_major=True),
+    }),
+    "thm-6.2": Suite(5, _thm_6_2_cases),
+    "thm-7.2": Suite(4, partial(_classes, _thm_7_2, meets=True)),
+    "thm-8.4": Suite(4, partial(_each, "t0-topology", _thm_8_4)),
+    "thm-9.3": Suite(5, partial(_each, "topology", _thm_9_3)),
+    "prop-3.1": Suite(4, partial(_each, "topology", _prop_3_1)),
+    "prop-5.5": Suite(5, partial(_each, "topology", _prop_5_5)),
+    "prop-7.4": Suite(4, partial(_classes, _prop_7_4, meets=True)),
+    "prop-9.1": Suite(5, _prop_9_1_cases),
+    "lattice-laws": Suite(6, _lattice_laws_cases),
+    "count-crosscheck": Suite(6, _count_crosscheck_cases),
 }
 
 
 def _suite_cases(spec: SuiteSpec, fault=None):
-    """Yield (instance, ok, detail) in enumeration order, for a suite and n
-    that `run_suite` has checked against `SUITES`.  The instance is the
-    structure itself, or a dict of structures and integers; `_record` gives
-    the text a report keeps."""
-    s_id, n = spec.suite, spec.n
-    if s_id == "thm-3.3-roundtrip":
-        for s in enumerate_instances("topology", n):
-            rel = cord.interior_relation(s)
-            c = cord.CQuasiOrder(s.n, rel.rel)
-            ok = (
-                cord.topology_of(c) == s
-                and td.alexandroff(td.specialization(s)) == s
-            )
-            yield s, ok, None
-    elif s_id in ("thm-4.6", "thm-5.3", "thm-6.2", "thm-7.2", "prop-7.4"):
-        if s_id == "thm-6.2":
-            # the theorem's instances: each poset with its Lawson topology
-            for rows in posets(n):
-                q = Qoset(n, rows)
-                sp = OrderedSpace(q, td.lawson_topology(q))
-                vec = ospace.thm_6_2_sides(ospace.Tables(sp))
-                yield sp, all(vec), list(vec)
-            if n > 3:
-                return
-        # every order with every topology; a fault decides side 1 by its
-        # sector or fan base alone, without the separation conjunct
-        unseparated = {
-            "sector-no-separation": ospace._is_sector,
-            "fan-no-separation": ospace._is_fan,
-        }.get(fault)
-
-        def decide(tb):
-            if s_id == "thm-7.2":
-                # thm-7.2 is about the hyperconvex semi-qospaces only
-                if not (ospace.is_hyperconvex(tb) and ospace.is_semi_qospace(tb)):
-                    return None
-                vec = ospace.thm_7_2_sides(tb, ospace.meet_table(tb.q))
-                return all(len(set(vec[i:i + 3])) == 1 for i in (0, 3, 6)), vec
-            if s_id == "thm-6.2":
-                # over all ordered spaces the cross-check compares sides 4 and 5
-                vec = ospace.thm_6_2_sides(tb)[3:]
-            elif s_id == "prop-7.4":
-                vec = ospace.prop_7_4_sides(tb)
-            elif s_id == "thm-4.6":
-                vec = ospace.thm_4_6_sides(tb)
-            else:
-                vec = ospace.thm_5_3_sides(tb)
-            if unseparated:
-                vec = (
-                    ospace.is_up_stable(tb)
-                    and ospace._neighborhood_base(tb, lambda w, x: unseparated(tb, w)),
-                ) + vec[1:]
-            return len(set(vec)) == 1, vec
-
-        tops = enumerate_instances("topology", n)
-        meets = s_id in ("thm-7.2", "prop-7.4")
-        orders = [Qoset(n, rows) for rows in (_meet_posets(n) if meets else posets(n))]
-        verdict = _class_verdicts(tops, orders, decide)
-        if s_id in ("thm-4.6", "thm-5.3"):  # topology-major
-            for ti, t in enumerate(tops):
-                for qi, q in enumerate(orders):
-                    ok, vec = verdict(qi, ti)
-                    yield OrderedSpace(q, t), ok, list(vec)
-        else:  # order-major
-            for qi, q in enumerate(orders):
-                for ti, t in enumerate(tops):
-                    case = verdict(qi, ti)
-                    if case is not None:
-                        yield OrderedSpace(q, t), case[0], list(case[1])
-    elif s_id == "thm-8.4":
-        for s in enumerate_instances("t0-topology", n):
-            if not cord.is_core_space(s):
-                continue
-            base = morphcat.Representation("t0-core-space", s)
-            ok = True
-            detail = None
-            for a in morphcat.KINDS:
-                ra = morphcat.convert(base, a)
-                for b in morphcat.KINDS:
-                    if a == b:
-                        continue
-                    back = morphcat.convert(morphcat.convert(ra, b), a)
-                    if not morphcat.are_equivalent(ra, back):
-                        ok = False
-                        detail = [a, b]
-            yield s, ok, detail
-    elif s_id == "thm-9.3":
-        for s in enumerate_instances("topology", n):
-            inv = cord.cardinal_invariants(s)
-            classes = len(set(td.specialization(s).leq))
-            ok = all(v == classes for v in inv.values)
-            yield s, ok, list(inv.values)
-    elif s_id == "prop-3.1":
-        for s in enumerate_instances("topology", n):
-            prof = cord.core_space_profile(s)
-            ok = prof.agreement and all(prof.flags)
-            yield s, ok, list(prof.flags)
-    elif s_id == "prop-5.5":
-        for s in enumerate_instances("topology", n):
-            e = td.quasi_uniformity(s)
-            ok = (
-                td.tau(e) == s
-                and td.tau_inverse(e) == td.weak_upper(td.specialization(s).dual())
-                and td.tau_star(e) == td.patch(s, "upsilon").topology
-            )
-            yield s, ok, None
-    elif s_id == "prop-9.1":
-        for s in enumerate_instances("topology", n):
-            for b in range(s.full + 1):
-                conds = cord.prop_9_1_conditions(s, b)
-                yield {"space": s, "basis": b}, len(set(conds)) == 1, list(conds)
-    elif s_id == "lattice-laws":
-        for k in range(1, n + 1):
-            # each labeled lattice is the copy of exactly one representative
-            # (see `_lattice_classes`) and every verdict is invariant under
-            # relabelling: decide each class once, yield its copies in order
-            classes = _lattice_classes(k)
-            cases = [_lattice_law_case(rep) for rep, _copies in classes]
-            copies = sorted(
-                ((lat, i) for i, (_rep, lats) in enumerate(classes) for lat in lats),
-                key=lambda pair: pair[0].leq,
-            )
-            for lat, i in copies:
-                ok, verdicts = cases[i]
-                yield lat, ok, dict(verdicts)
-    elif s_id == "count-crosscheck":
-        for k in range(n + 1):
-            a = len(topologies(k))
-            b = len(qosets(k))
-            yield {"n": k}, a == b, [a, b]
+    """The cases of a suite, or of one of its faults, at n, for a suite, n
+    and fault that `run_suite` has checked against `SUITES`."""
+    suite = SUITES[spec.suite]
+    return (suite.cases if fault is None else suite.faults[fault])(spec.n)
 
 
 def _topology_classes(tops):
@@ -576,15 +623,16 @@ def _record(inst) -> str:
 
 def run_suite(spec: SuiteSpec, workers: int = 1, fault: str | None = None) -> Report:
     """Evaluate a suite exhaustively, in enumeration order, in this process,
-    after refusing a suite or an n that `SUITES` does not admit.  `workers`
-    is ignored: it is accepted only because existing callers pass it.  Only
-    counterexamples are encoded."""
+    after refusing a suite, an n or a fault that its `SUITES` record does
+    not admit.  `workers` is ignored: it is accepted only because existing
+    callers pass it.  Only counterexamples are encoded."""
     check_carrier(spec.n)
-    if spec.suite not in SUITES:
+    suite = SUITES.get(spec.suite)
+    if suite is None:
         raise ValidationError("UnknownSuite", (spec.suite,))
-    if spec.n > SUITES[spec.suite]:
+    if spec.n > suite.bound:
         raise ValidationError("BoundTooLarge", (spec.suite, spec.n))
-    if fault is not None and FAULTS.get(fault) != spec.suite:
+    if fault is not None and fault not in suite.faults:
         raise ValidationError("UnknownFault", (fault, spec.suite))
     start = time.monotonic()
     report = Report(spec.suite, spec.n)
@@ -631,51 +679,6 @@ def hunt(h: HypothesisSpec):
         "assume": list(h.assume),
         "refute": h.refute,
     }
-
-
-# ---------------------------------------------------------------- fixtures
-
-TRUNCATION_BANNER = (
-    "finite truncation: statements about the infinite instance are NOT "
-    "asserted for this fixture"
-)
-
-
-def _ex33_truncation(k: int) -> Lattice:
-    """Carrier a, b_0..b_{k-1}, top (labeled 0, 1..k, k+1); x <= y iff x = y,
-    x = b_0, or y = top."""
-    n = k + 2
-    top = n - 1
-    rows = []
-    for x in range(n):
-        row = 1 << x | 1 << top
-        if x == 1:  # b_0
-            row = (1 << n) - 1
-        rows.append(row)
-    rows[top] = 1 << top
-    return validate_lattice(n, tuple(rows))
-
-
-def fixtures():
-    m3 = validate_lattice(5, (0b11111, 0b10010, 0b10100, 0b11000, 0b10000))
-    n5 = validate_lattice(5, (0b11111, 0b11010, 0b10100, 0b11000, 0b10000))
-    diamond = validate_lattice(4, (0b1111, 0b1010, 0b1100, 0b1000))
-    reg = {
-        "sierpinski": {
-            "object": Topology(2, (0, 2, 3)),
-            "note": "two points, one nontrivial open",
-        },
-        "m3": {"object": m3, "note": "five-element modular non-distributive lattice"},
-        "n5": {"object": n5, "note": "five-element non-modular lattice"},
-        "2x2": {"object": diamond, "note": "four-element Boolean lattice"},
-    }
-    for k in (1, 2, 3):
-        reg[f"ex33-trunc-{k}"] = {
-            "object": _ex33_truncation(k),
-            "note": f"{k + 2}-element truncation with b_0..b_{k - 1}",
-            "banner": TRUNCATION_BANNER,
-        }
-    return reg
 
 
 # ---------------------------------------------------------------- CLI
@@ -872,11 +875,13 @@ def main(argv=None):
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, help="one of " + ", ".join(
-        f"{suite} (n<={bound})" for suite, bound in SUITES.items()
+        f"{name} (n<={suite.bound})" for name, suite in SUITES.items()
     ))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--verbose", action="store_true")
-    p.add_argument("--fault", default=None, help="broken-predicate variant")
+    p.add_argument("--fault", help="a variant with a broken decide, one of " + ", ".join(
+        f"{fault} ({name})" for name, suite in SUITES.items() for fault in suite.faults
+    ))
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("hunt", help="search for a counterexample")

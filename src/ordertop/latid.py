@@ -1,5 +1,5 @@
-"""Lattice identity checkers, the way-below and superway relations, coprimes,
-join-dense sets and lattice weight.
+"""Lattice identity checkers, the superway relation, coprimes, join-dense
+sets and lattice weight.
 
 Each law is decided by the identity it folds to on a finite lattice
 (Birkhoff, *Lattice Theory*, 1967; Davey & Priestley, *Introduction to
@@ -193,34 +193,27 @@ def _pairwise_collection_law(lat: Lattice, family):
 
 def _superway_join_test(lat: Lattice):
     """Every element is the join of the elements superway-below it."""
-    cols = transpose(lat.n, below_relation(lat, "superway").rel)
+    cols = transpose(lat.n, superway_relation(lat).rel)
     for y in range(lat.n):
         if lat.join_of(cols[y]) != y:
             return False, (y,)
     return True, None
 
 
-# ------------------------------------------------------------ below relations
+# ------------------------------------------------------------ superway
 
-def below_relation(lat: Lattice, kind: str) -> BinaryRelation:
-    """way-below: x << y iff every directed set whose join dominates y meets
-    the principal filter of x; a finite directed set contains its join, so
-    this is the order.  superway: x sw y iff x lies in the down-closure of
-    every subset whose join dominates y."""
+def superway_relation(lat: Lattice) -> BinaryRelation:
+    """x sw y iff x lies in the down-closure of every subset whose join
+    dominates y; that is, iff y is not below the join of the complement of
+    the principal filter of x (the complement is the critical subset)."""
     n = lat.n
-    if kind == "way-below":
-        return BinaryRelation(n, lat.leq)
-    if kind == "superway":
-        # x sw y iff y is not below the join of the complement of the
-        # principal filter of x (the complement is the critical subset)
-        q = lat.poset()
-        full = (1 << n) - 1
-        rows = []
-        for x in range(n):
-            j = lat.join_of(full ^ q.leq[x])
-            rows.append(full ^ q.geq[j])
-        return BinaryRelation(n, tuple(rows))
-    raise ValidationError("UnknownKind", (kind,))
+    q = lat.poset()
+    full = (1 << n) - 1
+    rows = []
+    for x in range(n):
+        j = lat.join_of(full ^ q.leq[x])
+        rows.append(full ^ q.geq[j])
+    return BinaryRelation(n, tuple(rows))
 
 
 # ------------------------------------------------------------ coprimes

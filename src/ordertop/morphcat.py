@@ -274,7 +274,7 @@ def _to_c(r: Representation) -> cord.CQuasiOrder:
         return _on_basis(cord.interior_relation(r.payload).rel, r.basis)
     if r.kind == "based-supercontinuous-lattice":
         # the row of b holds the points superway below b
-        superway = latid.below_relation(r.payload, "superway").transpose()
+        superway = latid.superway_relation(r.payload).transpose()
         return _on_basis(superway.rel, r.basis)
     raise ValidationError("UnknownKind", (r.kind,))
 

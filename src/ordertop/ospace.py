@@ -56,10 +56,6 @@ class Tables:
         return td.lower_space(self.space)
 
     @memo_property
-    def upper_opens(self):
-        return self.upper_space.opens
-
-    @memo_property
     def lower_opens(self):
         return self.lower_space.opens
 
@@ -316,7 +312,7 @@ def _is_web_around(tb: Tables, w, x) -> bool:
     )
 
 
-def _is_filtered_set(tb: Tables, w, _x=None) -> bool:
+def _is_filtered_set(tb: Tables, w) -> bool:
     return is_directed(tb.q.geq, w)
 
 
@@ -342,13 +338,13 @@ def is_core_base(tb: Tables, bmask) -> bool:
     )
 
 
-def _is_sector(tb: Tables, w, _x=None) -> bool:
+def _is_sector(tb: Tables, w) -> bool:
     return w != 0 and any(
         w == tb.q.leq[u] & v for u in range(tb.n) for v in tb.lower_opens
     )
 
 
-def _is_fan(tb: Tables, w, _x=None) -> bool:
+def _is_fan(tb: Tables, w) -> bool:
     return w != 0 and any(
         w == tb.q.leq[u] & ~g
         for u in range(tb.n)

@@ -109,10 +109,6 @@ def upset_topology(q: Qoset, which: str) -> Topology:
         return scott_topology(q)
     if which == "lawson":
         return lawson_topology(q)
-    if which == "alpha-dual":
-        return alexandroff(q.dual())
-    if which == "upsilon-dual":
-        return weak_upper(q.dual())
     raise ValidationError("UnknownSelection", (which,))
 
 

@@ -22,7 +22,6 @@ from ordertop.finstruct import (
     isomorphism,
     mask_of,
     mask_to_list,
-    popcount,
     relations_of,
     subsets_of,
     transpose,
@@ -95,7 +94,7 @@ def test_validate_qoset_errors():
 
 def test_validate_lattice_m3():
     m3 = validate_lattice(5, (0b11111, 0b10010, 0b10100, 0b11000, 0b10000))
-    assert m3.bottom == 0 and m3.top == 4
+    assert m3.bottom == 0 and m3.dual().bottom == 4
     assert m3.meet[1][2] == 0 and m3.join[1][2] == 4
 
 
@@ -410,7 +409,7 @@ def test_minimal_neighborhoods_and_t0_match_open_scans():
 
 def _relation_invariant(n, rows, x):
     cols = transpose(n, rows)
-    return (popcount(rows[x]), popcount(cols[x]))
+    return (rows[x].bit_count(), cols[x].bit_count())
 
 
 def _isomorphic_scan(a, b):

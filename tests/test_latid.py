@@ -10,6 +10,7 @@ from itertools import combinations
 import pytest
 
 from ordertop import latid
+from ordertop import topoderive as td
 from ordertop.finstruct import (
     BinaryRelation,
     Topology,
@@ -172,7 +173,7 @@ def _collection_law(lat, family):
     full = (1 << lat.n) - 1
     joins = [lat.join_of(y) for y in fam]
     for sel in range(1 << len(fam)):
-        lhs = lat.top
+        lhs = lat.dual().bottom
         inter = full
         for i in bits(sel):
             lhs = lat.meet[lhs][joins[i]]
@@ -231,7 +232,7 @@ def test_way_below_equals_order_on_finite_lattices():
     up_to_6 = UP_TO_5 + lattices(6)
     assert len(up_to_6) == 6815
     for lat in up_to_6:
-        assert latid.below_relation(lat, "way-below").rel == lat.leq
+        assert td.way_below_qoset(lat.poset()) == lat.leq
         assert _way_below_scan(lat) == lat.leq
 
 
@@ -252,20 +253,15 @@ def _superway_oracle(lat):
 
 def test_superway_shortcut_agrees_with_direct_scan():
     for lat in ALL_LATTICES_5:
-        assert latid.below_relation(lat, "superway") == _superway_oracle(lat)
+        assert latid.superway_relation(lat) == _superway_oracle(lat)
 
 
 def test_superway_on_chain_and_m3():
     # 3-chain: bottom below everything above it, midpoint below itself and top
-    assert latid.below_relation(CHAIN3, "superway").rel == (0b110, 0b110, 0b100)
+    assert latid.superway_relation(CHAIN3).rel == (0b110, 0b110, 0b100)
     # M3: the bottom is superway-below everything else; nothing else is
     # superway-below anything (an atom is below the join of the other two)
-    assert latid.below_relation(M3, "superway").rel == (0b11110, 0, 0, 0, 0)
-
-
-def test_unknown_below_kind():
-    with pytest.raises(ValidationError):
-        latid.below_relation(M3, "sideways")
+    assert latid.superway_relation(M3).rel == (0b11110, 0, 0, 0, 0)
 
 
 # ---------------------------------------------------------------- coprimes

@@ -125,7 +125,7 @@ def _t2_ordered_oracle(s, tb):
                 continue
             if not any(
                 u >> x & 1 and v >> y & 1 and not (u & v)
-                for u in tb.upper_opens for v in tb.lower_opens
+                for u in tb.upper_space.opens for v in tb.lower_opens
             ):
                 return False
     return True
@@ -136,11 +136,11 @@ def _upper_regular_oracle(s, tb):
         s.topology.full ^ o for o in s.topology.opens
         if s.qoset.up(s.topology.full ^ o) == s.topology.full ^ o
     ]
-    for o in tb.upper_opens:
+    for o in tb.upper_space.opens:
         for x in bits(o):
             if not any(
                 v >> x & 1 and v & ~a == 0 and a & ~o == 0
-                for v in tb.upper_opens for a in closed_uppers
+                for v in tb.upper_space.opens for a in closed_uppers
             ):
                 return False
     return True
@@ -198,7 +198,7 @@ def test_convexity_worked_examples():
 
 def _strongly_convex_oracle(s, tb):
     return generate_topology(
-        s.n, list(tb.upper_opens) + list(tb.lower_opens)
+        s.n, list(tb.upper_space.opens) + list(tb.lower_opens)
     ) == s.topology
 
 
@@ -207,7 +207,7 @@ def _hyperconvex_oracle(s, tb):
     if any(v not in set(s.topology.opens) for v in cotop.opens):
         return False
     return generate_topology(
-        s.n, list(tb.upper_opens) + list(cotop.opens)
+        s.n, list(tb.upper_space.opens) + list(cotop.opens)
     ) == s.topology
 
 
@@ -606,7 +606,7 @@ def _locally_convex_scan(tb):
 
 
 def _strongly_convex_scan(tb):
-    mup = _min_scan(tb.n, tb.upper_opens)
+    mup = _min_scan(tb.n, tb.upper_space.opens)
     mdown = _min_scan(tb.n, tb.lower_opens)
     return all(
         mup[x] & mdown[x] & ~o == 0 for o in tb.t.opens for x in bits(o)
@@ -616,7 +616,7 @@ def _strongly_convex_scan(tb):
 def _cotopology_convex_scan(tb, cotop):
     if any(v not in tb.opens_set for v in cotop.opens):
         return False
-    mup = _min_scan(tb.n, tb.upper_opens)
+    mup = _min_scan(tb.n, tb.upper_space.opens)
     minv = _min_scan(tb.n, cotop.opens)
     return all(
         mup[x] & minv[x] & ~o == 0 for o in tb.t.opens for x in bits(o)
@@ -638,11 +638,11 @@ def _regular_scan(tb, opens, closeds):
 
 
 def _weak_patch_scan(tb):
-    mup = _min_scan(tb.n, tb.upper_opens)
+    mup = _min_scan(tb.n, tb.upper_space.opens)
     if tuple(tb.q.leq) != tuple(mup):
         return False
     patched = generate_topology(
-        tb.n, list(tb.upper_opens) + list(tb.upsilon_dual.opens)
+        tb.n, list(tb.upper_space.opens) + list(tb.upsilon_dual.opens)
     )
     return patched == tb.t
 
@@ -690,7 +690,7 @@ def _check_against_scans(s):
         assert zeta_convex(tb, zeta) == _cotopology_convex_scan(tb, cotop)
     closeds = [tb.full ^ o for o in tb.t.opens]
     assert ospace.is_upper_regular(tb) == _regular_scan(
-        tb, tb.upper_opens, [c for c in closeds if tb.q.up(c) == c]
+        tb, tb.upper_space.opens, [c for c in closeds if tb.q.up(c) == c]
     )
     assert ospace.is_lower_regular(tb) == _regular_scan(
         tb, tb.lower_opens, [c for c in closeds if tb.q.down(c) == c]

@@ -92,10 +92,17 @@ def test_lawson_of_chain_is_discrete():
 
 
 def test_upset_topology_dispatch():
-    assert td.upset_topology(CHAIN3, "alpha-dual") == td.alexandroff(CHAIN3.dual())
-    with pytest.raises(ValidationError) as err:
-        td.upset_topology(CHAIN3, "zeta")
-    assert err.value.code == "UnknownSelection"
+    for which, derive in (
+        ("alpha", td.alexandroff),
+        ("upsilon", td.weak_upper),
+        ("sigma", td.scott_topology),
+        ("lawson", td.lawson_topology),
+    ):
+        assert td.upset_topology(CHAIN3, which) == derive(CHAIN3)
+    for which in ("zeta", "alpha-dual", "upsilon-dual"):
+        with pytest.raises(ValidationError) as err:
+            td.upset_topology(CHAIN3, which)
+        assert err.value.code == "UnknownSelection"
 
 
 # ---------------------------------------------------------------- operators
